@@ -235,7 +235,10 @@ where
                 termination = Termination::Solved;
                 break;
             }
-            if config.link.is_perfect() || nudges >= config.max_nudges {
+            // As in `run_virtual`: recovery is not gated on the fault
+            // policy, since a protocol can park itself without losing a
+            // message.
+            if nudges >= config.max_nudges {
                 termination = Termination::CutOff;
                 break;
             }
@@ -276,8 +279,7 @@ where
         // Deliver every batch due this tick, then collect the replies in
         // the same ascending recipient order the in-process executor
         // steps agents in, routing each reply's messages as it lands.
-        let batches: Vec<(usize, Vec<discsp_runtime::Envelope<M>>)> =
-            net.take_due(due, tick).into_iter().collect();
+        let batches = net.take_due(due, tick);
         for (recipient, inbox) in &batches {
             conn_at(&mut conns, *recipient)?.send(&RunFrame::Deliver {
                 tick,

@@ -40,6 +40,8 @@ mod message;
 mod pool;
 mod recorder;
 mod router;
+#[cfg(test)]
+mod router_model;
 mod shard;
 mod schedule;
 mod seed;
@@ -54,7 +56,7 @@ pub use discsp_trace::{
 };
 pub use error::RuntimeError;
 pub use link::{
-    derive_link_seed, run_virtual, Link, LinkPolicy, LinkStats, RouteDecision, VirtualConfig,
+    derive_link_seed, run_virtual, Copies, Link, LinkPolicy, LinkStats, RouteDecision, VirtualConfig,
     VirtualReport, PPM,
 };
 pub use message::{Classify, Envelope, MessageClass};

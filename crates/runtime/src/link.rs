@@ -188,9 +188,53 @@ impl LinkStats {
 pub struct RouteDecision {
     /// Due tick of each copy to enqueue. Empty means the message was
     /// dropped (and should be parked for retransmission).
-    pub deliveries: Vec<u64>,
+    pub deliveries: Copies,
     /// Faults injected into this message, for trace recording.
     pub faults: Vec<FaultKind>,
+}
+
+/// The due ticks of the copies a link enqueues for one message: none
+/// (dropped), one, or two (duplicated). Held inline, so routing over a
+/// perfect link allocates nothing; dereferences to a `[u64]` slice.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Copies {
+    dues: [u64; 2],
+    len: usize,
+}
+
+impl Copies {
+    /// No copy: the message was dropped.
+    pub const NONE: Copies = Copies { dues: [0; 2], len: 0 };
+
+    /// One copy due at `due`.
+    pub const fn one(due: u64) -> Self {
+        Copies { dues: [due, 0], len: 1 }
+    }
+
+    /// Two copies (a duplication), in draw order.
+    pub const fn two(first: u64, second: u64) -> Self {
+        Copies {
+            dues: [first, second],
+            len: 2,
+        }
+    }
+}
+
+impl std::ops::Deref for Copies {
+    type Target = [u64];
+
+    fn deref(&self) -> &[u64] {
+        self.dues.get(..self.len).unwrap_or(&[])
+    }
+}
+
+impl IntoIterator for Copies {
+    type Item = u64;
+    type IntoIter = std::iter::Take<std::array::IntoIter<u64, 2>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.dues.into_iter().take(self.len)
+    }
 }
 
 /// One directed link with its policy, its private random stream, and its
@@ -307,7 +351,7 @@ impl Link {
             // fault on *another* link never perturbs this one.
             self.max_due = self.max_due.max(now + 1);
             return RouteDecision {
-                deliveries: vec![now + 1],
+                deliveries: Copies::one(now + 1),
                 faults: Vec::new(),
             };
         }
@@ -319,7 +363,7 @@ impl Link {
             faults.push(FaultKind::Dropped);
             self.log.push((call, FaultAction::Drop));
             return RouteDecision {
-                deliveries: Vec::new(),
+                deliveries: Copies::NONE,
                 faults,
             };
         }
@@ -333,17 +377,18 @@ impl Link {
             let first = self.base_delay();
             let second = self.base_delay();
             self.log.push((call, FaultAction::Duplicate { first, second }));
-            let deliveries = vec![
-                self.assign(now, first, &mut faults),
-                self.assign(now, second, &mut faults),
-            ];
-            return RouteDecision { deliveries, faults };
+            let first = self.assign(now, first, &mut faults);
+            let second = self.assign(now, second, &mut faults);
+            return RouteDecision {
+                deliveries: Copies::two(first, second),
+                faults,
+            };
         }
         let delay = self.base_delay();
         if delay > 0 {
             self.log.push((call, FaultAction::Delay(delay)));
         }
-        let deliveries = vec![self.assign(now, delay, &mut faults)];
+        let deliveries = Copies::one(self.assign(now, delay, &mut faults));
         RouteDecision { deliveries, faults }
     }
 
@@ -359,27 +404,26 @@ impl Link {
     ) -> RouteDecision {
         let mut faults = Vec::new();
         let deliveries = match action {
-            None => vec![self.assign(now, 0, &mut faults)],
+            None => Copies::one(self.assign(now, 0, &mut faults)),
             Some(FaultAction::Drop) => {
                 self.stats.dropped += 1;
                 faults.push(FaultKind::Dropped);
                 self.log.push((call, FaultAction::Drop));
-                Vec::new()
+                Copies::NONE
             }
             Some(FaultAction::Delay(delay)) => {
                 if delay > 0 {
                     self.log.push((call, FaultAction::Delay(delay)));
                 }
-                vec![self.assign(now, delay, &mut faults)]
+                Copies::one(self.assign(now, delay, &mut faults))
             }
             Some(FaultAction::Duplicate { first, second }) => {
                 self.stats.duplicated += 1;
                 faults.push(FaultKind::Duplicated);
                 self.log.push((call, FaultAction::Duplicate { first, second }));
-                vec![
-                    self.assign(now, first, &mut faults),
-                    self.assign(now, second, &mut faults),
-                ]
+                let first = self.assign(now, first, &mut faults);
+                let second = self.assign(now, second, &mut faults);
+                Copies::two(first, second)
             }
         };
         RouteDecision { deliveries, faults }
@@ -621,8 +665,8 @@ where
         tick = tick.max(due);
 
         // Deliver every message due this tick, batched per recipient in
-        // ascending (recipient, enqueue_seq) order. The wave is one
-        // maxcck accounting unit, closed by a cycle barrier.
+        // ascending recipient order. The wave is one maxcck accounting
+        // unit, closed by a cycle barrier.
         let mut wave_max: u64 = 0;
         for (recipient, inbox) in net.take_due(due, tick) {
             let Some(agent) = agents.get_mut(recipient) else {
@@ -714,7 +758,7 @@ mod tests {
         let mut link = Link::new(LinkPolicy::perfect(), 7);
         for now in [0u64, 3, 9] {
             let d = link.route(now);
-            assert_eq!(d.deliveries, vec![now + 1], "one base tick per hop");
+            assert_eq!(d.deliveries[..], [now + 1], "one base tick per hop");
             assert!(d.faults.is_empty());
         }
         assert_eq!(link.stats.sent, 3);
@@ -1018,11 +1062,11 @@ mod tests {
         assert_eq!(d0.faults, vec![FaultKind::Dropped]);
 
         let d1 = link.route(0);
-        assert_eq!(d1.deliveries, vec![5]);
+        assert_eq!(d1.deliveries[..], [5]);
         assert_eq!(d1.faults, vec![FaultKind::Delayed(4)]);
 
         let d2 = link.route(0);
-        assert_eq!(d2.deliveries, vec![1, 3]);
+        assert_eq!(d2.deliveries[..], [1, 3]);
         assert!(d2.faults.contains(&FaultKind::Duplicated));
         assert!(
             d2.faults.contains(&FaultKind::Reordered),
@@ -1031,7 +1075,7 @@ mod tests {
 
         // Call 3 is unscripted: perfect delivery.
         let d3 = link.route(2);
-        assert_eq!(d3.deliveries, vec![3]);
+        assert_eq!(d3.deliveries[..], [3]);
         assert_eq!(link.stats.sent, 4);
         assert_eq!(link.stats.dropped, 1);
         assert_eq!(link.stats.duplicated, 1);

@@ -1,16 +1,16 @@
-//! The deterministic message router shared by the virtual executor and
-//! the TCP coordinator.
+//! The deterministic message router shared by every deterministic
+//! executor: `run_virtual`, `run_sharded`, the service's session
+//! `Driver`, and the TCP coordinator.
 //!
-//! [`Router`] owns the event queue, the n×n [`Link`] matrix, the parked
-//! (dropped-message) recovery buffers, and the per-class message
-//! counters that used to live inside `run_virtual`. Extracting it lets
-//! `discsp-net` relay frames between OS processes through *exactly* the
-//! same fault lottery and delivery ordering as the in-process virtual
-//! runtime: as long as callers issue `route`/`flush_parked`/`take_due`
-//! in the same order, the per-link [`SplitMix64`](crate::SplitMix64)
-//! streams are consumed identically and every fault counter replays
-//! bit-for-bit from `(seed, policy)` — whether the agents live in this
-//! process or behind a socket.
+//! [`Router`] owns the event queue, the lazily created [`Link`]s, the
+//! parked (dropped-message) recovery buffers, and the per-class message
+//! counters. Sharing it lets `discsp-net` relay frames between OS
+//! processes through *exactly* the same fault lottery and delivery
+//! ordering as the in-process runtimes: as long as callers issue
+//! `route`/`flush_parked`/`take_due` in the same order, the per-link
+//! [`SplitMix64`](crate::SplitMix64) streams are consumed identically
+//! and every fault counter replays bit-for-bit from `(seed, policy)` —
+//! whether the agents live in this process or behind a socket.
 //!
 //! The router also owns the link-layer half of the trace: it records
 //! `Sent` at the moment a message enters its link (mirroring the
@@ -19,6 +19,19 @@
 //! `Delivered` when a copy leaves the queue. Executors interleave their
 //! agent-step events into the same [`RingBuffer`] via [`Router::sink`],
 //! so one buffer holds the whole run in emission order.
+//!
+//! Routing is the per-message cost of every deterministic runtime (the
+//! distributed breakout has every agent message every neighbour each
+//! wave), so the layout is built for it:
+//!
+//! * **Calendar queue.** In-flight copies sit in one unsorted bucket per
+//!   due tick. An enqueue is a push onto its tick's bucket; `take_due`
+//!   removes the whole bucket and sorts it once.
+//! * **Per-sender link rows.** Row `from` holds the links `from` has used,
+//!   sorted by recipient and found by binary search, each with its
+//!   same-tick delivery rank computed once at creation.
+//! * **No allocation on a perfect link.** A [`RouteDecision`] holds its
+//!   at most two copies inline.
 
 use std::collections::BTreeMap;
 
@@ -31,10 +44,11 @@ use crate::message::{Classify, Envelope, MessageClass};
 use crate::schedule::{FaultEvent, FaultSchedule};
 use crate::seed::SplitMix64;
 
-/// Derives the directed link's same-tick delivery rank. Independent of
-/// the link's fault stream (different mixing constants), constant per
-/// link, and a pure function of `(run_seed, from, to)`.
-fn derive_order_rank(run_seed: u64, index: u64) -> u64 {
+/// Derives the directed link's same-tick delivery rank from its index
+/// `from * n + to`. Independent of the link's fault stream (different
+/// mixing constants), constant per link, and a pure function of
+/// `(run_seed, from, to)`.
+pub(crate) fn derive_order_rank(run_seed: u64, index: u64) -> u64 {
     SplitMix64::new(
         run_seed
             ^ 0x6A09_E667_F3BC_C909u64.wrapping_mul(index.wrapping_add(1)),
@@ -54,11 +68,28 @@ enum LinkMode {
     Scripted(FaultSchedule),
 }
 
-/// Deterministic routing/enqueue state: event queue, lazily materialized
-/// link table, parked drops, and message-class counters.
+/// One link in its sender's row.
+#[derive(Debug)]
+struct LinkSlot {
+    to: usize,
+    /// The link's same-tick delivery rank (`derive_order_rank`).
+    rank: u64,
+    link: Link,
+}
+
+/// One in-flight copy in its due tick's bucket.
+#[derive(Debug)]
+struct Queued<M> {
+    rank: u64,
+    seq: u64,
+    env: Envelope<M>,
+}
+
+/// Deterministic routing/enqueue state: calendar queue, per-sender link
+/// rows, parked drops, and message-class counters.
 ///
-/// Delivery order is total and deterministic: the queue is keyed by
-/// `(due_tick, link_rank, enqueue_seq)`, where `link_rank` is a
+/// Delivery order is total and deterministic: copies leave in
+/// `(due_tick, link_rank, enqueue_seq)` order, where `link_rank` is a
 /// seed-derived constant per directed link. Messages due the same tick
 /// therefore drain in an order that is a pure function of the run seed —
 /// identical across reruns and independent of the order in which links
@@ -66,19 +97,31 @@ enum LinkMode {
 /// link keep their send order (per-link FIFO; the explicit reordering
 /// window is the only way a link reorders its own traffic).
 ///
-/// Links are created on first use rather than as an n×n matrix: a link's
-/// fault stream ([`derive_link_seed`]) and its same-tick rank
-/// (`derive_order_rank`) are pure functions of `(run_seed, from, to)`, so
-/// lazy creation is replay-transparent while keeping memory proportional
-/// to the links actually exercised — for a degree-bounded constraint
-/// graph that is O(agents), not O(agents²).
+/// The queue is a calendar: a `BTreeMap` from due tick to an unsorted
+/// bucket of `(link_rank, enqueue_seq, envelope)`. Every copy in a bucket
+/// shares its due tick, so sorting the bucket by `(link_rank,
+/// enqueue_seq)` when it is taken yields exactly the
+/// `(due_tick, link_rank, enqueue_seq)` order — `enqueue_seq` is unique,
+/// so the order is total and the sort needs no stability. Buckets are
+/// taken whole, so an empty bucket never stays in the map and the
+/// earliest key is the next due tick.
+///
+/// Links are created on first use, in per-sender rows sorted by
+/// recipient: a link's fault stream ([`derive_link_seed`]) and its
+/// same-tick rank (`derive_order_rank`) are pure functions of
+/// `(run_seed, from, to)`, so lazy creation is replay-transparent while
+/// keeping memory at O(agents + links used) — for a degree-bounded
+/// constraint graph that is O(agents), not O(agents²). Walking the rows
+/// in order visits links in `(from, to)` order, the order
+/// [`Router::fault_log`] reports them in.
 #[derive(Debug)]
 pub struct Router<M> {
-    /// Event queue keyed by `(due_tick, link_rank, enqueue_seq)` — a
-    /// total, deterministic, seed-derived delivery order.
-    queue: BTreeMap<(u64, u64, u64), Envelope<M>>,
-    /// Links touched so far, keyed by `from * n + to`.
-    links: BTreeMap<usize, Link>,
+    /// Calendar queue: due tick → that tick's copies, in enqueue order.
+    queue: BTreeMap<u64, Vec<Queued<M>>>,
+    /// Copies in the queue (the in-flight set's size).
+    in_flight: u64,
+    /// Links touched so far: row `from`, sorted by recipient.
+    rows: Vec<Vec<LinkSlot>>,
     mode: LinkMode,
     /// Dropped messages parked per sending agent, in drop order.
     parked: BTreeMap<usize, Vec<Envelope<M>>>,
@@ -117,7 +160,8 @@ impl<M: Classify + Clone> Router<M> {
     fn build(n: usize, run_seed: u64, record_trace: bool, mode: LinkMode) -> Self {
         Router {
             queue: BTreeMap::new(),
-            links: BTreeMap::new(),
+            in_flight: 0,
+            rows: std::iter::repeat_with(Vec::new).take(n).collect(),
             mode,
             parked: BTreeMap::new(),
             n,
@@ -134,38 +178,42 @@ impl<M: Classify + Clone> Router<M> {
         }
     }
 
-    fn link_index(&self, from: AgentId, to: AgentId) -> usize {
-        from.index() * self.n + to.index()
-    }
-
-    /// The link at `index`, materialized on first touch. Creation order
-    /// cannot perturb replay: the link's stream seed is a pure function
-    /// of `(run_seed, from, to)`, not of when the link first saw traffic.
-    fn link_mut(&mut self, index: usize) -> &mut Link {
-        let n = self.n;
-        let run_seed = self.run_seed;
-        let mode = &self.mode;
-        self.links.entry(index).or_insert_with(|| {
-            let from = AgentId::new((index / n) as u32);
-            let to = AgentId::new((index % n) as u32);
-            match mode {
-                LinkMode::Lottery(policy) => {
-                    Link::new(*policy, derive_link_seed(run_seed, from, to))
-                }
-                LinkMode::Scripted(schedule) => Link::scripted(schedule.actions_for(from, to)),
+    /// The link `from → to`, created on first touch; `None` when `from`
+    /// is outside the population. Creation order cannot perturb replay:
+    /// the link's stream seed and rank are pure functions of
+    /// `(run_seed, from, to)`, not of when the link first saw traffic.
+    fn slot_mut(&mut self, from: usize, to: usize) -> Option<&mut LinkSlot> {
+        let row = self.rows.get_mut(from)?;
+        let at = match row.binary_search_by_key(&to, |slot| slot.to) {
+            Ok(at) => at,
+            Err(at) => {
+                let (from_id, to_id) = (AgentId::new(from as u32), AgentId::new(to as u32));
+                let link = match &self.mode {
+                    LinkMode::Lottery(policy) => {
+                        Link::new(*policy, derive_link_seed(self.run_seed, from_id, to_id))
+                    }
+                    LinkMode::Scripted(schedule) => {
+                        Link::scripted(schedule.actions_for(from_id, to_id))
+                    }
+                };
+                let rank = derive_order_rank(self.run_seed, (from * self.n + to) as u64);
+                row.insert(at, LinkSlot { to, rank, link });
+                at
             }
-        })
+        };
+        row.get_mut(at)
     }
 
-    fn enqueue(&mut self, due: u64, link: usize, env: Envelope<M>) {
+    fn enqueue(&mut self, due: u64, rank: u64, env: Envelope<M>) {
         match env.payload.class() {
             MessageClass::Ok => self.ok_messages += 1,
             MessageClass::Nogood => self.nogood_messages += 1,
             MessageClass::Other => self.other_messages += 1,
         }
-        let rank = derive_order_rank(self.run_seed, link as u64);
-        self.queue.insert((due, rank, self.seq), env);
+        let seq = self.seq;
+        self.queue.entry(due).or_default().push(Queued { rank, seq, env });
         self.seq += 1;
+        self.in_flight += 1;
     }
 
     /// Routes one freshly sent envelope through its link at time `now`,
@@ -177,11 +225,15 @@ impl<M: Classify + Clone> Router<M> {
     /// [`RuntimeError::UnknownRecipient`] when the envelope addresses an
     /// agent outside the population.
     pub fn route(&mut self, now: u64, env: Envelope<M>) -> Result<(), RuntimeError> {
-        if env.to.index() >= self.n || env.from.index() >= self.n {
-            return Err(RuntimeError::UnknownRecipient { agent: env.to });
+        let unknown = RuntimeError::UnknownRecipient { agent: env.to };
+        if env.to.index() >= self.n {
+            return Err(unknown);
         }
-        let index = self.link_index(env.from, env.to);
-        let decision = self.link_mut(index).route(now);
+        let Some(slot) = self.slot_mut(env.from.index(), env.to.index()) else {
+            return Err(unknown);
+        };
+        let rank = slot.rank;
+        let decision = slot.link.route(now);
         if self.sink.enabled() {
             self.sink.record(TraceEvent::Sent {
                 cycle: now,
@@ -199,19 +251,14 @@ impl<M: Classify + Clone> Router<M> {
                 });
             }
         }
-        if decision.deliveries.is_empty() {
+        let Some((&last, earlier)) = decision.deliveries.split_last() else {
             self.parked.entry(env.from.index()).or_default().push(env);
             return Ok(());
+        };
+        for &due in earlier {
+            self.enqueue(due, rank, env.clone());
         }
-        let mut copies = decision.deliveries.into_iter().peekable();
-        while let Some(due) = copies.next() {
-            if copies.peek().is_some() {
-                self.enqueue(due, index, env.clone());
-            } else {
-                self.enqueue(due, index, env);
-                break;
-            }
-        }
+        self.enqueue(last, rank, env);
         Ok(())
     }
 
@@ -226,8 +273,13 @@ impl<M: Classify + Clone> Router<M> {
         // dense per-sender buckets used to flush in.
         for (_, bucket) in std::mem::take(&mut self.parked) {
             for env in bucket {
-                let index = self.link_index(env.from, env.to);
-                let (due, faults) = self.link_mut(index).redeliver(now);
+                // Parked envelopes passed `route`'s range check, so their
+                // link exists.
+                let Some(slot) = self.slot_mut(env.from.index(), env.to.index()) else {
+                    continue;
+                };
+                let rank = slot.rank;
+                let (due, faults) = slot.link.redeliver(now);
                 if self.sink.enabled() {
                     self.sink.record(TraceEvent::Fault {
                         cycle: now,
@@ -246,7 +298,7 @@ impl<M: Classify + Clone> Router<M> {
                         });
                     }
                 }
-                self.enqueue(due, index, env);
+                self.enqueue(due, rank, env);
                 flushed += 1;
             }
         }
@@ -255,37 +307,47 @@ impl<M: Classify + Clone> Router<M> {
 
     /// The due tick of the earliest queued message, if any.
     pub fn next_due(&self) -> Option<u64> {
-        self.queue.keys().next().map(|&(due, _, _)| due)
+        self.queue.first_key_value().map(|(&due, _)| due)
     }
 
     /// Whether the in-flight set (queue) is empty. The queue *is* the
     /// in-flight set, so an empty queue means the captured assignment
     /// snapshot is a consistent global state.
     pub fn is_quiescent(&self) -> bool {
-        self.queue.is_empty()
+        self.in_flight == 0
     }
 
-    /// Removes every message due exactly at `due`, batched per recipient
-    /// in the queue's seed-derived `(link_rank, enqueue_seq)` order,
-    /// recording `Delivered` trace events at cycle `tick`.
-    pub fn take_due(&mut self, due: u64, tick: u64) -> BTreeMap<usize, Vec<Envelope<M>>> {
-        let mut inboxes: BTreeMap<usize, Vec<Envelope<M>>> = BTreeMap::new();
-        let due_keys: Vec<(u64, u64, u64)> = self
-            .queue
-            .range((due, 0, 0)..=(due, u64::MAX, u64::MAX))
-            .map(|(&k, _)| k)
-            .collect();
-        for key in due_keys {
-            if let Some(env) = self.queue.remove(&key) {
-                if self.sink.enabled() {
-                    self.sink.record(TraceEvent::Delivered {
-                        cycle: tick,
-                        from: env.from,
-                        to: env.to,
-                        class: env.payload.class(),
-                    });
-                }
-                inboxes.entry(env.to.index()).or_default().push(env);
+    /// Removes every message due exactly at `due`, recording `Delivered`
+    /// trace events at cycle `tick` in the queue's seed-derived
+    /// `(link_rank, enqueue_seq)` order. Returns one inbox per
+    /// recipient, in ascending recipient order, each holding its
+    /// messages in that same order.
+    pub fn take_due(&mut self, due: u64, tick: u64) -> Vec<(usize, Vec<Envelope<M>>)> {
+        let Some(mut bucket) = self.queue.remove(&due) else {
+            return Vec::new();
+        };
+        self.in_flight -= bucket.len() as u64;
+        if self.sink.enabled() {
+            bucket.sort_unstable_by_key(|q| (q.rank, q.seq));
+            for q in &bucket {
+                self.sink.record(TraceEvent::Delivered {
+                    cycle: tick,
+                    from: q.env.from,
+                    to: q.env.to,
+                    class: q.env.payload.class(),
+                });
+            }
+            // Stable, so each inbox keeps the order just recorded.
+            bucket.sort_by_key(|q| q.env.to);
+        } else {
+            bucket.sort_unstable_by_key(|q| (q.env.to, q.rank, q.seq));
+        }
+        let mut inboxes: Vec<(usize, Vec<Envelope<M>>)> = Vec::new();
+        for Queued { env, .. } in bucket {
+            let to = env.to.index();
+            match inboxes.last_mut() {
+                Some((last, inbox)) if *last == to => inbox.push(env),
+                _ => inboxes.push((to, vec![env])),
             }
         }
         inboxes
@@ -300,28 +362,36 @@ impl<M: Classify + Clone> Router<M> {
     /// Number of message copies still queued (in flight). Parked drops
     /// are *not* in flight — they were already counted as dropped.
     pub fn queued(&self) -> u64 {
-        self.queue.len() as u64
+        self.in_flight
+    }
+
+    fn slots(&self) -> impl Iterator<Item = (usize, &LinkSlot)> {
+        self.rows
+            .iter()
+            .enumerate()
+            .flat_map(|(from, row)| row.iter().map(move |slot| (from, slot)))
     }
 
     /// Fault counters summed over every link touched so far (untouched
     /// links have all-zero counters by definition).
     pub fn link_totals(&self) -> LinkStats {
         let mut totals = LinkStats::default();
-        for link in self.links.values() {
-            totals.absorb(link.stats);
+        for (_, slot) in self.slots() {
+            totals.absorb(slot.link.stats);
         }
         totals
     }
 
-    /// Every fault any link actually injected, assembled into a
-    /// replayable [`FaultSchedule`]. Feeding it to [`Router::scripted`]
-    /// under the same run seed replays this router's behavior exactly.
+    /// Every fault any link actually injected, in `(from, to)` link
+    /// order, assembled into a replayable [`FaultSchedule`]. Feeding it
+    /// to [`Router::scripted`] under the same run seed replays this
+    /// router's behavior exactly.
     pub fn fault_log(&self) -> FaultSchedule {
         let mut events = Vec::new();
-        for (&index, link) in self.links.iter() {
-            let from = AgentId::new((index / self.n) as u32);
-            let to = AgentId::new((index % self.n) as u32);
-            for &(call, action) in link.fault_log() {
+        for (from, slot) in self.slots() {
+            let from = AgentId::new(from as u32);
+            let to = AgentId::new(slot.to as u32);
+            for &(call, action) in slot.link.fault_log() {
                 events.push(FaultEvent {
                     from,
                     to,
@@ -488,7 +558,9 @@ mod tests {
                 .route(0, Envelope { from: AgentId::new(0), to: AgentId::new(1), payload: Note(Value::new(2)) })
                 .expect("routes");
             let inboxes = router.take_due(1, 1);
-            let inbox = inboxes.get(&1).expect("recipient 1 has mail");
+            let [(1, inbox)] = &inboxes[..] else {
+                panic!("seed {seed}: recipient 1 alone has mail");
+            };
             let values: Vec<_> = inbox.iter().map(|e| e.payload.0).collect();
             assert_eq!(values, vec![Value::new(1), Value::new(2)], "seed {seed}");
         }

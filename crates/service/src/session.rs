@@ -120,8 +120,6 @@ pub struct Driver<A: DistributedAgent> {
     net: Router<A::Message>,
     overflow: VecDeque<Envelope<A::Message>>,
     overflow_peak: usize,
-    parked_any: bool,
-    faults_enabled: bool,
     recorder: StepRecorder,
     metrics: RunMetrics,
     snapshot: Assignment,
@@ -163,7 +161,6 @@ impl<A: DistributedAgent> Driver<A> {
             Some(schedule) => Router::scripted(n, schedule, config.seed, config.record_trace),
             None => Router::new(n, config.link, config.seed, config.record_trace),
         };
-        let faults_enabled = config.schedule.is_some() || !config.link.is_perfect();
         let num_vars = problem.num_vars();
         Ok(Driver {
             agents,
@@ -172,8 +169,6 @@ impl<A: DistributedAgent> Driver<A> {
             net,
             overflow: VecDeque::new(),
             overflow_peak: 0,
-            parked_any: false,
-            faults_enabled,
             recorder: StepRecorder::new(),
             metrics: RunMetrics::new(Termination::CutOff),
             snapshot: Assignment::empty(num_vars),
@@ -196,7 +191,6 @@ impl<A: DistributedAgent> Driver<A> {
         if self.overflow.is_empty() && self.net.queued() < self.budget {
             self.net.route(now, env)
         } else {
-            self.parked_any = true;
             self.overflow.push_back(env);
             self.overflow_peak = self.overflow_peak.max(self.overflow.len());
             Ok(())
@@ -384,11 +378,10 @@ impl<A: DistributedAgent + Send> Pump for Driver<A> {
                 self.finish(Termination::Solved);
                 return Ok(SessionPoll::Finished);
             }
-            // Backpressure delays messages like a faulty link delays
-            // them, so a session that ever parked gets the same
-            // stall-recovery nudges a lossy link would.
-            let recoverable = self.faults_enabled || self.parked_any;
-            if !recoverable || self.nudges >= self.config.max_nudges {
+            // As in `run_virtual`: recovery is not gated on the fault
+            // policy (or on backpressure), since a protocol can park
+            // itself without losing a message.
+            if self.nudges >= self.config.max_nudges {
                 self.finish(Termination::CutOff);
                 return Ok(SessionPoll::Finished);
             }
