@@ -3,8 +3,8 @@
 use std::collections::BTreeSet;
 
 use discsp_core::{
-    AgentId, AgentView, Domain, IncrementalEval, Nogood, NogoodIdx, NogoodStore, Priority, Rank,
-    Value, VarValue, VariableId,
+    AgentId, AgentView, Domain, IncrementalEval, Nogood, NogoodIdx, NogoodLits, NogoodStore,
+    Priority, Rank, Value, VarValue, VariableId,
 };
 use discsp_runtime::{AgentNote, AgentStats, DistributedAgent, Envelope, Outbox};
 use serde::{Deserialize, Serialize};
@@ -170,22 +170,28 @@ impl AwcAgent {
     /// Creates an agent for `var` with its relevant constraint nogoods
     /// and constraint-graph neighborhood.
     ///
-    /// `neighbors` lists the foreign variables sharing a nogood with
-    /// `var` together with their owning agents; they form the initial
-    /// `ok?` distribution list.
+    /// `nogoods` may be owned or borrowed (`problem.nogoods_of(var)`):
+    /// the agent copies their literals into its own store. `neighbors`
+    /// lists the foreign variables sharing a nogood with `var` together
+    /// with their owning agents; they form the initial `ok?`
+    /// distribution list.
     ///
     /// # Panics
     ///
     /// Panics if `initial_value` is outside `domain`.
-    pub fn new(
+    pub fn new<I>(
         id: AgentId,
         var: VariableId,
         domain: Domain,
         initial_value: Value,
-        nogoods: Vec<Nogood>,
+        nogoods: I,
         neighbors: Vec<(VariableId, AgentId)>,
         config: AwcConfig,
-    ) -> Self {
+    ) -> Self
+    where
+        I: IntoIterator,
+        I::Item: NogoodLits,
+    {
         assert!(
             domain.contains(initial_value),
             "initial value {initial_value} outside domain {domain}"
@@ -594,7 +600,7 @@ mod tests {
             VariableId::new(0),
             Domain::new(2),
             Value::new(7),
-            vec![],
+            Vec::<Nogood>::new(),
             vec![],
             AwcConfig::resolvent(),
         );

@@ -288,13 +288,12 @@ impl MultiAwcSolver {
                     .iter()
                     .map(|&v| (v, AgentId::new(v.raw())))
                     .collect();
-                let nogoods = problem.nogoods_of(var).cloned().collect();
                 inner.push(AwcAgent::new(
                     virtual_id,
                     var,
                     domain,
                     value,
-                    nogoods,
+                    problem.nogoods_of(var),
                     neighbors,
                     self.config,
                 ));

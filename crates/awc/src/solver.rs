@@ -189,13 +189,12 @@ impl AwcSolver {
                 .iter()
                 .map(|&v| (v, problem.owner(v)))
                 .collect();
-            let nogoods = problem.nogoods_of(var).cloned().collect();
             agents.push(AwcAgent::new(
                 agent_id,
                 var,
                 domain,
                 value,
-                nogoods,
+                problem.nogoods_of(var),
                 neighbors,
                 self.config,
             ));

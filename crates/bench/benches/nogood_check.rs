@@ -26,7 +26,10 @@
 //! per-variable mention lists keep a realistic degree.
 //!
 //! Running this bench writes a snapshot of every measurement plus the
-//! headline speedups to `BENCH_store.json` at the repo root. Set
+//! headline speedups to `BENCH_store.json` at the repo root: this run's
+//! rows under `"after"`, with the `"before"` rows (the store before its
+//! dedupe chains and per-variable segments, measured by this bench on
+//! the same host) carried over from the existing file. Set
 //! `DISCSP_BENCH_SMOKE=1` to run a reduced matrix (≤10^4, fewer
 //! samples) without touching the snapshot — the CI smoke step.
 
@@ -34,6 +37,7 @@ use std::io::Write as _;
 use std::time::Duration;
 
 use criterion::{criterion_group, BenchmarkId, Criterion, Measurement};
+use discsp_bench::report::snapshot_rows;
 use discsp_core::{IncrementalEval, Nogood, NogoodIdx, NogoodRef, NogoodStore, Value, VariableId};
 use discsp_runtime::SplitMix64;
 
@@ -323,24 +327,35 @@ fn push_speedups(json: &mut String, ms: &[Measurement], key: &str, num: &str, de
     json.push_str("  }");
 }
 
-/// Serializes every measurement (ns/iter) and the headline speedups to
+const SNAPSHOT: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_store.json");
+
+/// Serializes every measurement (ns/iter) under `"after"`, the carried
+/// `"before"` rows, and this run's headline speedups to
 /// `BENCH_store.json` at the repository root.
 fn write_snapshot(c: &Criterion) {
     let ms = c.measurements();
-    let mut json = String::from(
-        "{\n  \"bench\": \"nogood_check\",\n  \"unit\": \"ns_per_iter\",\n  \"results\": [\n",
+    let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
+    let section = |rows: Vec<String>| -> String {
+        let rows: Vec<String> = rows.iter().map(|row| format!("    {row}")).collect();
+        rows.join(",\n")
+    };
+    let after = ms
+        .iter()
+        .map(|m| {
+            format!(
+                "{{\"name\": \"{}\", \"mean_ns\": {:.1}, \"min_ns\": {:.1}, \"samples\": {}}}",
+                json_escape(&m.name),
+                m.mean_ns,
+                m.min_ns,
+                m.samples
+            )
+        })
+        .collect();
+    let mut json = format!(
+        "{{\n  \"bench\": \"nogood_check\",\n  \"unit\": \"ns_per_iter\",\n  \"nproc\": {nproc},\n  \"before\": [\n{}\n  ],\n  \"after\": [\n{}\n  ],\n",
+        section(snapshot_rows(SNAPSHOT, "before")),
+        section(after),
     );
-    for (i, m) in ms.iter().enumerate() {
-        let sep = if i + 1 < ms.len() { "," } else { "" };
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"mean_ns\": {:.1}, \"min_ns\": {:.1}, \"samples\": {}}}{sep}\n",
-            json_escape(&m.name),
-            m.mean_ns,
-            m.min_ns,
-            m.samples
-        ));
-    }
-    json.push_str("  ],\n");
     push_speedups(&mut json, ms, "speedup_indexed_over_naive", "naive", "indexed");
     json.push_str(",\n");
     push_speedups(
@@ -352,10 +367,9 @@ fn write_snapshot(c: &Criterion) {
     );
     json.push_str("\n}\n");
 
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_store.json");
-    let mut f = std::fs::File::create(path).expect("create BENCH_store.json");
+    let mut f = std::fs::File::create(SNAPSHOT).expect("create BENCH_store.json");
     f.write_all(json.as_bytes()).expect("write BENCH_store.json");
-    println!("[wrote {path}]");
+    println!("[wrote {SNAPSHOT}]");
 }
 
 criterion_group!(

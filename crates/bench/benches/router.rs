@@ -22,6 +22,7 @@
 use std::io::Write as _;
 use std::time::Instant;
 
+use discsp_bench::report::snapshot_rows;
 use discsp_core::{AgentId, Value, VariableId};
 use discsp_dba::DbaMessage;
 use discsp_probgen::paper_coloring;
@@ -182,19 +183,6 @@ fn render(r: &Row) -> String {
     )
 }
 
-/// The row lines of the existing snapshot's `"before"` section.
-fn carried_before() -> Vec<String> {
-    let existing = std::fs::read_to_string(SNAPSHOT).unwrap_or_default();
-    existing
-        .lines()
-        .skip_while(|line| line.trim() != "\"before\": [")
-        .skip(1)
-        .take_while(|line| !line.trim().starts_with(']'))
-        .map(|line| line.trim().trim_matches(',').trim().to_string())
-        .filter(|line| !line.is_empty())
-        .collect()
-}
-
 fn write_snapshot(rows: &[Row]) {
     let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
     let section = |lines: Vec<String>| -> String {
@@ -204,7 +192,7 @@ fn write_snapshot(rows: &[Row]) {
     let json = format!(
         "{{\n  \"bench\": \"router\",\n  \"traffic\": \"paper_coloring breakout waves, {WAVES} per repetition, median of {} repetitions\",\n  \"nproc\": {nproc},\n  \"before\": [\n{}  ],\n  \"after\": [\n{}  ]\n}}\n",
         repetitions(),
-        section(carried_before()),
+        section(snapshot_rows(SNAPSHOT, "before")),
         section(rows.iter().map(render).collect()),
     );
     let mut f = std::fs::File::create(SNAPSHOT).expect("create BENCH_router.json");

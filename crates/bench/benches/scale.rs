@@ -9,20 +9,75 @@
 //! a bounded, size-tracked wave count (AWC's repair cost from the same
 //! init is wildly seed-dependent), and reports the two numbers the
 //! executor exists for: **agents per second** (activations retired per
-//! wall-clock second) and **bytes per agent** (resident-set growth
-//! across build + solve, divided by the population).
+//! wall-clock second) and **bytes per agent** (live heap bytes of the
+//! built population divided by its size). The bytes are counted by this
+//! binary's global allocator, which tallies only while `build_agents`
+//! runs, so the timed solve is not instrumented. A resident-set delta
+//! taken across cells in one process shrinks from cell to cell as the
+//! allocator reuses freed memory, so it is not used.
 //!
 //! Writes `BENCH_scale.json` at the repo root. Set
 //! `DISCSP_BENCH_SMOKE=1` for the CI smoke matrix (10^4 agents, fewer
 //! worker counts) — the snapshot is then left untouched.
 
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::Write as _;
+use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::time::Instant;
 
 use discsp_core::{Assignment, Termination, Value};
 use discsp_dba::DbaSolver;
 use discsp_probgen::{coloring_to_discsp, paper_coloring};
-use discsp_runtime::{ShardConfig, SplitMix64, VirtualConfig};
+use discsp_runtime::{run_sharded, ShardConfig, SplitMix64, VirtualConfig};
+
+/// Global allocator that counts live heap bytes while [`COUNTING`] is
+/// set, and otherwise only forwards to the system allocator.
+struct LiveBytes;
+
+static COUNTING: AtomicBool = AtomicBool::new(false);
+static LIVE: AtomicI64 = AtomicI64::new(0);
+
+fn count(delta: i64) {
+    if COUNTING.load(Ordering::Relaxed) {
+        LIVE.fetch_add(delta, Ordering::Relaxed);
+    }
+}
+
+// SAFETY: every method forwards to `System` unchanged; the counters are
+// plain atomics and never allocate.
+unsafe impl GlobalAlloc for LiveBytes {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout.size() as i64);
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count(layout.size() as i64);
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(new_size as i64 - layout.size() as i64);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count(-(layout.size() as i64));
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: LiveBytes = LiveBytes;
+
+/// Runs `build` and returns its result with the heap bytes it left live.
+fn live_bytes_of<T>(build: impl FnOnce() -> T) -> (T, i64) {
+    LIVE.store(0, Ordering::Relaxed);
+    COUNTING.store(true, Ordering::Relaxed);
+    let built = build();
+    COUNTING.store(false, Ordering::Relaxed);
+    (built, LIVE.load(Ordering::Relaxed))
+}
 
 /// One agent in 64 starts off the planted color, so ~1.5% of the
 /// population (plus their neighborhoods) has genuine repair work while
@@ -37,46 +92,19 @@ fn smoke() -> bool {
 /// and runs a 3×10^5 headline row; smoke keeps CI under a minute.
 ///
 /// Why the headline is not 10^6: the executor's per-activation cost is
-/// nearly flat (≈70k activations/s at 10^5, ≈57k at 3×10^5 on the
-/// reference box), but the *workload's* breakout wave count grows with
-/// the population (20 waves at 10^5, 100 at 3×10^5) and every wave
-/// activates all n agents — a 10^6 solve is hour-scale wall time on
-/// one machine. Capacity at 10^6 is real (the arena holds a million
-/// agents in ≈9.3 GB, bytes-per-agent flat); solve *time* at that size
-/// is an open workload/locality problem, not an executor ceiling.
+/// nearly flat (≈250k activations/s at 10^5 and ≈280k at 3×10^5 with
+/// 8 workers on a 2-vCPU host), but the *workload's* breakout wave count
+/// grows with the population (20 waves at 10^5, 100 at 3×10^5) and
+/// every wave activates all n agents, so a 10^6 solve runs for many
+/// minutes. A built `DbaAgent` holds ≈3.3 KB of heap at every size in
+/// the matrix, so a million agents build in ≈3 GB before the solve
+/// grows their caches; solve *time* at that size is an open
+/// workload/locality problem, not an executor ceiling.
 fn matrix() -> Vec<(u32, usize)> {
     if smoke() {
         vec![(10_000, 1), (10_000, 4)]
     } else {
         vec![(100_000, 1), (100_000, 4), (100_000, 8), (300_000, 8)]
-    }
-}
-
-/// Resident set size in bytes, from `/proc/self/status` (`VmRSS`).
-/// Returns 0 where procfs is unavailable; the JSON then reports
-/// `bytes_per_agent: 0` rather than a guess.
-fn rss_bytes() -> u64 {
-    #[cfg(target_os = "linux")]
-    {
-        let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
-            return 0;
-        };
-        for line in status.lines() {
-            if let Some(rest) = line.strip_prefix("VmRSS:") {
-                let kb: u64 = rest
-                    .trim()
-                    .trim_end_matches("kB")
-                    .trim()
-                    .parse()
-                    .unwrap_or(0);
-                return kb * 1024;
-            }
-        }
-        0
-    }
-    #[cfg(not(target_os = "linux"))]
-    {
-        0
     }
 }
 
@@ -92,7 +120,6 @@ struct Row {
 }
 
 fn run_cell(agents: u32, workers: usize) -> Row {
-    let rss_before = rss_bytes();
     let instance = paper_coloring(agents, 11);
     let problem = coloring_to_discsp(&instance).expect("encode");
 
@@ -114,13 +141,15 @@ fn run_cell(agents: u32, workers: usize) -> Row {
         },
         workers,
     );
-    let solver = DbaSolver::new();
+    // Timed like `DbaSolver::solve_sharded`: build plus run.
     let start = Instant::now();
-    let report = solver
-        .solve_sharded(&problem, &init, &config)
-        .expect("one variable per agent");
+    let (population, built_bytes) = live_bytes_of(|| {
+        DbaSolver::new()
+            .build_agents(&problem, &init)
+            .expect("one variable per agent")
+    });
+    let report = run_sharded(population, &problem, &config).expect("sharded run");
     let solve_secs = start.elapsed().as_secs_f64();
-    let rss_after = rss_bytes();
 
     assert_eq!(
         report.outcome.metrics.termination,
@@ -130,7 +159,6 @@ fn run_cell(agents: u32, workers: usize) -> Row {
     let solution = report.outcome.solution.expect("solved");
     assert!(problem.is_solution(&solution));
 
-    let grown = rss_after.saturating_sub(rss_before);
     Row {
         agents,
         workers,
@@ -139,7 +167,7 @@ fn run_cell(agents: u32, workers: usize) -> Row {
         solve_secs,
         agents_per_sec: f64::from(agents) / solve_secs,
         activations_per_sec: report.activations as f64 / solve_secs,
-        bytes_per_agent: grown as f64 / f64::from(agents),
+        bytes_per_agent: built_bytes as f64 / f64::from(agents),
     }
 }
 

@@ -5,6 +5,23 @@ use std::fmt::Write as _;
 use crate::efficiency::EfficiencyFigure;
 use crate::tables::{ComparisonTable, RedundancyTable};
 
+/// The row lines of section `section` (a JSON array with one object per
+/// line) of the bench snapshot at `path`; empty when the file or the
+/// section is missing. Benches that rewrite their `"after"` rows use it
+/// to carry the `"before"` rows over.
+pub fn snapshot_rows(path: &str, section: &str) -> Vec<String> {
+    let existing = std::fs::read_to_string(path).unwrap_or_default();
+    let header = format!("\"{section}\": [");
+    existing
+        .lines()
+        .skip_while(|line| line.trim() != header)
+        .skip(1)
+        .take_while(|line| !line.trim().starts_with(']'))
+        .map(|line| line.trim().trim_matches(',').trim().to_string())
+        .filter(|line| !line.is_empty())
+        .collect()
+}
+
 /// Renders a comparison table in the paper's layout.
 pub fn render_comparison(table: &ComparisonTable) -> String {
     let mut out = String::new();

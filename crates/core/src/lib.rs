@@ -41,6 +41,8 @@ mod nogood;
 mod priority;
 mod problem;
 mod store;
+#[cfg(test)]
+mod store_model;
 mod value;
 mod view;
 mod wire;

@@ -6,10 +6,12 @@
 //! literals in one flat arena (`Vec<VarValue>`) addressed by per-nogood
 //! `(offset, len)` slot headers — no per-nogood heap allocation — with a
 //! free list so forgetting a nogood recycles its slot without
-//! invalidating other [`NogoodIdx`] values. Dedup goes through hash
-//! buckets over slot ids, and a per-variable index
-//! ([`NogoodStore::for_variable`]) supports the small-store evaluation
-//! path.
+//! invalidating other [`NogoodIdx`] values. Dedup follows a chain of
+//! equal-hash slots linked through the slot headers, and per-variable
+//! slot lists packed as segments of one shared pool
+//! ([`NogoodStore::for_variable`]) support the small-store evaluation
+//! path, so a store costs a fixed handful of heap blocks however many
+//! nogoods and variables it indexes.
 //!
 //! [`IncrementalEval`] caches each nogood's violation status against a
 //! view. Small stores re-evaluate the nogoods mentioning changed
@@ -50,6 +52,10 @@ use crate::value::Value;
 /// [`NogoodStore::forget`] a *new* nogood may occupy an old index.
 pub type NogoodIdx = usize;
 
+/// End-of-chain sentinel for the dedupe chains (also the filler of
+/// unused per-variable segment room).
+const NIL: u32 = u32::MAX;
+
 /// Slot header: where a nogood's literals live in the arena, plus the
 /// bookkeeping forgetting needs.
 #[derive(Debug, Clone, Copy)]
@@ -61,7 +67,10 @@ struct Slot {
     /// Capacity of the arena range owned by this slot (`>= len`); slot
     /// reuse keeps the old range when the new nogood fits.
     cap: u32,
-    /// Hash of the canonical literal slice (dedup bucket key).
+    /// Next live slot whose literals hash the same (dedupe chain), or
+    /// `NIL` at the end of the chain.
+    next_same_hash: u32,
+    /// Hash of the canonical literal slice (dedupe chain key).
     hash: u64,
     /// Insertion sequence number: the deterministic tie-break for
     /// forgetting (older = evicted first at equal activity).
@@ -74,6 +83,17 @@ struct Slot {
     learned: bool,
     /// Whether the slot currently holds a nogood.
     live: bool,
+}
+
+/// One variable's segment of [`NogoodStore`]'s `var_pool`: the live
+/// slots mentioning the variable, in recording order, at
+/// `start..start + len`, with room up to `start + cap`.
+#[derive(Debug, Clone, Copy)]
+struct VarSegment {
+    var: VariableId,
+    start: u32,
+    len: u32,
+    cap: u32,
 }
 
 /// A deduplicating nogood set with an evaluation meter, flat literal
@@ -120,15 +140,21 @@ pub struct NogoodStore {
     /// Number of live *learned* slots.
     learned_live: usize,
     next_seq: u64,
-    /// Dedupe buckets: canonical-literal hash -> live slot ids.
-    // lint: allow(unordered): point lookups keyed by hash only; buckets
-    // are never iterated, so map order cannot reach any output.
-    by_hash: HashMap<u64, Vec<u32>>,
-    /// Per-variable index: every live nogood mentioning the variable, in
-    /// recording order.
-    // lint: allow(unordered): point lookups keyed by variable; values are
-    // recording-ordered slot-id vectors, so map order cannot reach output.
-    var_index: HashMap<VariableId, Vec<u32>>,
+    /// Dedupe: canonical-literal hash -> first live slot of the chain of
+    /// slots with that hash (linked through `Slot::next_same_hash`).
+    // lint: allow(unordered): point lookups keyed by hash only; the map
+    // is never iterated, so its order cannot reach any output.
+    by_hash: HashMap<u64, u32>,
+    /// Per-variable index, sorted by variable: each variable's segment
+    /// of `var_pool`. Segments of variables no longer mentioned stay,
+    /// empty.
+    var_index: Vec<VarSegment>,
+    /// Backing store of the per-variable segments. A full segment moves
+    /// to the end of the pool with twice the room and abandons its old
+    /// range; as with doubling `Vec`s, the abandoned ranges add up to
+    /// less than the live segments' room, so the pool stays within twice
+    /// that.
+    var_pool: Vec<u32>,
     /// Mutation log: the slot id of every content change (insert *and*
     /// removal), in order. [`IncrementalEval`] keeps a cursor into this
     /// log and re-syncs exactly the slots that changed; replaying an
@@ -137,10 +163,27 @@ pub struct NogoodStore {
     checks: Cell<u64>,
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Test-only seam: `hash_lits` ANDs every hash with this mask, so a
+    /// narrow mask forces dedupe-chain collisions on purpose.
+    pub(crate) static HASH_MASK: Cell<u64> = const { Cell::new(u64::MAX) };
+}
+
 fn hash_lits(lits: &[VarValue]) -> u64 {
     let mut hasher = DefaultHasher::new();
     lits.hash(&mut hasher);
-    hasher.finish()
+    let hash = hasher.finish();
+    #[cfg(test)]
+    let hash = hash & HASH_MASK.with(Cell::get);
+    hash
+}
+
+/// `u32` form of an arena position, slot id or length.
+fn to_u32(n: usize) -> u32 {
+    // lint: allow(panic-path): capacity guard — slots, literals and the
+    // arena are bounded by the forgetting budget, far below 2^32
+    u32::try_from(n).expect("store sizes stay below 2^32")
 }
 
 impl NogoodStore {
@@ -151,13 +194,30 @@ impl NogoodStore {
 
     /// Creates a store pre-populated with initial-constraint `nogoods`
     /// (duplicates merged). These are never evicted by forgetting.
+    ///
+    /// Takes owned [`Nogood`]s or borrowed ones (`&Nogood`, e.g. straight
+    /// from `DistributedCsp::nogoods_of`): only the literals are copied,
+    /// into a store presized from the iterator's length hint.
     pub fn with_nogoods<I>(nogoods: I) -> Self
     where
-        I: IntoIterator<Item = Nogood>,
+        I: IntoIterator,
+        I::Item: NogoodLits,
     {
-        let mut store = NogoodStore::new();
+        let nogoods = nogoods.into_iter();
+        let (n, _) = nogoods.size_hint();
+        // Binary constraints are the common case; longer nogoods grow
+        // the arena as usual. Their 2n mentions fit the pool with the
+        // segments' doubling slack.
+        let mut store = NogoodStore {
+            lits: Vec::with_capacity(2 * n),
+            slots: Vec::with_capacity(n),
+            var_pool: Vec::with_capacity(4 * n),
+            log: Vec::with_capacity(n),
+            ..NogoodStore::default()
+        };
+        store.by_hash.reserve(n);
         for ng in nogoods {
-            store.insert(ng);
+            store.insert_lits(ng.lits(), false);
         }
         store
     }
@@ -165,76 +225,70 @@ impl NogoodStore {
     /// Records `nogood` as an initial constraint (never forgotten);
     /// returns `false` if it was already present.
     pub fn insert(&mut self, nogood: Nogood) -> bool {
-        self.insert_impl(nogood, false)
+        self.insert_lits(nogood.elems(), false)
     }
 
     /// Records `nogood` as a *learned* nogood — eligible for
     /// [`NogoodStore::forget`] — starting at activity 1; returns `false`
     /// if it was already present.
     pub fn insert_learned(&mut self, nogood: Nogood) -> bool {
-        self.insert_impl(nogood, true)
+        self.insert_lits(nogood.elems(), true)
     }
 
-    fn insert_impl(&mut self, nogood: Nogood, learned: bool) -> bool {
-        let hash = hash_lits(nogood.elems());
-        if let Some(bucket) = self.by_hash.get(&hash) {
-            if bucket.iter().any(|&i| self.slot_ref(i as usize) == nogood) {
-                return false;
-            }
+    /// Records the canonical literal slice `lits` unless an equal nogood
+    /// is live.
+    fn insert_lits(&mut self, lits: &[VarValue], learned: bool) -> bool {
+        let hash = hash_lits(lits);
+        let head = self.chain_head(hash);
+        if self.chain_contains(head, lits) {
+            return false;
         }
-        let n = nogood.len();
-        // lint: allow(panic-path): capacity guard — nogoods are bounded by
-        // the variable count, orders of magnitude below 2^32
-        let n32 = u32::try_from(n).expect("nogood holds < 2^32 literals");
+        let n = lits.len();
+        let n32 = to_u32(n);
+        let slot = Slot {
+            offset: 0,
+            len: n32,
+            cap: n32,
+            next_same_hash: head,
+            hash,
+            seq: self.next_seq,
+            activity: 1,
+            learned,
+            live: true,
+        };
         let slot_id = match self.free.pop() {
             Some(id) => {
-                let slot = &mut self.slots[id as usize];
-                debug_assert!(!slot.live);
-                if slot.cap >= n32 {
+                let old = self.slots[id as usize];
+                debug_assert!(!old.live);
+                let offset = if old.cap >= n32 {
                     // Reuse the dead slot's arena range in place.
-                    let off = slot.offset as usize;
-                    self.lits[off..off + n].copy_from_slice(nogood.elems());
+                    let off = old.offset as usize;
+                    self.lits[off..off + n].copy_from_slice(lits);
+                    old.offset
                 } else {
                     // Too small: take a fresh range at the end. The old
                     // range is abandoned (arena growth stays bounded by
                     // the peak live footprint plus churn; see DESIGN §11).
-                    slot.offset = u32::try_from(self.lits.len())
-                        .expect("literal arena holds < 2^32 literals"); // lint: allow(panic-path): capacity guard; forgetting bounds the arena far below 2^32
-                    slot.cap = n32;
-                    self.lits.extend_from_slice(nogood.elems());
-                }
-                slot.len = n32;
-                slot.hash = hash;
-                slot.seq = self.next_seq;
-                slot.activity = 1;
-                slot.learned = learned;
-                slot.live = true;
+                    self.append_lits(lits)
+                };
+                self.slots[id as usize] = Slot {
+                    offset,
+                    cap: old.cap.max(n32),
+                    ..slot
+                };
                 id
             }
             None => {
-                // lint: allow(panic-path): capacity guard — slot count is
-                // bounded by the forgetting budget, far below 2^32
-                let id = u32::try_from(self.slots.len()).expect("store holds < 2^32 slots");
-                let offset = u32::try_from(self.lits.len())
-                    .expect("literal arena holds < 2^32 literals"); // lint: allow(panic-path): capacity guard; forgetting bounds the arena far below 2^32
-                self.lits.extend_from_slice(nogood.elems());
-                self.slots.push(Slot {
-                    offset,
-                    len: n32,
-                    cap: n32,
-                    hash,
-                    seq: self.next_seq,
-                    activity: 1,
-                    learned,
-                    live: true,
-                });
+                let id = to_u32(self.slots.len());
+                let offset = self.append_lits(lits);
+                self.slots.push(Slot { offset, ..slot });
                 id
             }
         };
         self.next_seq += 1;
-        self.by_hash.entry(hash).or_default().push(slot_id);
-        for var in nogood.vars() {
-            self.var_index.entry(var).or_default().push(slot_id);
+        self.by_hash.insert(hash, slot_id);
+        for lit in lits {
+            self.index_mention(lit.var, slot_id);
         }
         self.live += 1;
         if learned {
@@ -244,32 +298,114 @@ impl NogoodStore {
         true
     }
 
+    /// Appends `lits` to the arena; returns the start of the new range.
+    fn append_lits(&mut self, lits: &[VarValue]) -> u32 {
+        let offset = to_u32(self.lits.len());
+        self.lits.extend_from_slice(lits);
+        offset
+    }
+
+    /// First slot of the dedupe chain for `hash` (`NIL` when none).
+    fn chain_head(&self, hash: u64) -> u32 {
+        self.by_hash.get(&hash).copied().unwrap_or(NIL)
+    }
+
+    /// Whether a slot on the chain starting at `head` holds `lits`.
+    fn chain_contains(&self, head: u32, lits: &[VarValue]) -> bool {
+        let mut cur = head;
+        while cur != NIL {
+            if self.slot_lits(cur as usize) == lits {
+                return true;
+            }
+            cur = self.slots[cur as usize].next_same_hash;
+        }
+        false
+    }
+
+    /// Appends `slot` to `var`'s segment.
+    fn index_mention(&mut self, var: VariableId, slot: u32) {
+        let i = match self.var_index.binary_search_by_key(&var, |seg| seg.var) {
+            Ok(i) => i,
+            Err(i) => {
+                let start = to_u32(self.var_pool.len());
+                let seg = VarSegment {
+                    var,
+                    start,
+                    len: 0,
+                    cap: 0,
+                };
+                self.var_index.insert(i, seg);
+                i
+            }
+        };
+        if self.var_index[i].len == self.var_index[i].cap {
+            self.grow_segment(i);
+        }
+        let seg = &mut self.var_index[i];
+        self.var_pool[(seg.start + seg.len) as usize] = slot;
+        seg.len += 1;
+    }
+
+    /// Moves segment `i` to the end of the pool with twice the room (at
+    /// least 4 slots).
+    fn grow_segment(&mut self, i: usize) {
+        let seg = self.var_index[i];
+        let cap = (2 * seg.cap).max(4);
+        let (start, len) = (seg.start as usize, seg.len as usize);
+        let new_start = self.var_pool.len();
+        self.var_pool.extend_from_within(start..start + len);
+        self.var_pool.resize(new_start + cap as usize, NIL);
+        self.var_index[i] = VarSegment {
+            start: to_u32(new_start),
+            cap,
+            ..seg
+        };
+    }
+
+    /// Removes `slot` from `var`'s segment, keeping the order of the
+    /// rest.
+    fn unindex_mention(&mut self, var: VariableId, slot: u32) {
+        let Ok(i) = self.var_index.binary_search_by_key(&var, |seg| seg.var) else {
+            debug_assert!(false, "live literal of {var} missing from the index");
+            return;
+        };
+        let seg = &mut self.var_index[i];
+        let list = &mut self.var_pool[seg.start as usize..(seg.start + seg.len) as usize];
+        if let Some(p) = list.iter().position(|&s| s == slot) {
+            list.copy_within(p + 1.., p);
+            seg.len -= 1;
+        }
+    }
+
     /// Scrubs `slot_id` from every index and marks it dead/reusable.
     fn remove_slot(&mut self, slot_id: u32) {
         let idx = slot_id as usize;
-        let (hash, learned, range) = {
-            let s = &self.slots[idx];
-            debug_assert!(s.live, "removing a dead slot");
-            (s.hash, s.learned, s.offset as usize..(s.offset + s.len) as usize)
-        };
-        if let Some(bucket) = self.by_hash.get_mut(&hash) {
-            bucket.retain(|&i| i != slot_id);
-            if bucket.is_empty() {
-                self.by_hash.remove(&hash);
+        let s = self.slots[idx];
+        debug_assert!(s.live, "removing a dead slot");
+        // Splice the slot out of its dedupe chain.
+        let head = self.chain_head(s.hash);
+        if head == slot_id {
+            if s.next_same_hash == NIL {
+                self.by_hash.remove(&s.hash);
+            } else {
+                self.by_hash.insert(s.hash, s.next_same_hash);
             }
-        }
-        for li in range {
-            let var = self.lits[li].var;
-            if let Some(bucket) = self.var_index.get_mut(&var) {
-                bucket.retain(|&i| i != slot_id);
-                if bucket.is_empty() {
-                    self.var_index.remove(&var);
-                }
+        } else {
+            let mut prev = head;
+            while self.slots[prev as usize].next_same_hash != slot_id {
+                prev = self.slots[prev as usize].next_same_hash;
             }
+            self.slots[prev as usize].next_same_hash = s.next_same_hash;
         }
-        self.slots[idx].live = false;
+        for pos in s.offset..s.offset + s.len {
+            let var = self.lits[pos as usize].var;
+            self.unindex_mention(var, slot_id);
+        }
+        let slot = &mut self.slots[idx];
+        slot.live = false;
+        slot.next_same_hash = NIL;
         self.live -= 1;
-        if learned {
+        if s.learned {
             self.learned_live -= 1;
         }
         self.free.push(slot_id);
@@ -324,9 +460,8 @@ impl NogoodStore {
 
     /// Whether `nogood` is recorded.
     pub fn contains(&self, nogood: &Nogood) -> bool {
-        self.by_hash
-            .get(&hash_lits(nogood.elems()))
-            .is_some_and(|bucket| bucket.iter().any(|&i| self.slot_ref(i as usize) == *nogood))
+        let lits = nogood.elems();
+        self.chain_contains(self.chain_head(hash_lits(lits)), lits)
     }
 
     /// Number of live nogoods.
@@ -346,6 +481,12 @@ impl NogoodStore {
         self.slots.len()
     }
 
+    /// Number of distinct variables ever mentioned by a recorded nogood
+    /// ([`IncrementalEval`] presizes its per-variable caches by this).
+    pub(crate) fn var_count(&self) -> usize {
+        self.var_index.len()
+    }
+
     /// Whether the store holds no nogoods.
     pub fn is_empty(&self) -> bool {
         self.live == 0
@@ -358,11 +499,16 @@ impl NogoodStore {
         &self.log
     }
 
+    /// The literals of the (live) slot `idx`.
+    fn slot_lits(&self, idx: usize) -> &[VarValue] {
+        let s = &self.slots[idx];
+        debug_assert!(s.live, "slot_lits on a dead slot");
+        &self.lits[s.offset as usize..(s.offset + s.len) as usize]
+    }
+
     /// Borrowed view of the (live) slot `idx`'s literals.
     fn slot_ref(&self, idx: usize) -> NogoodRef<'_> {
-        let s = &self.slots[idx];
-        debug_assert!(s.live, "slot_ref on a dead slot");
-        NogoodRef::from_canonical(&self.lits[s.offset as usize..(s.offset + s.len) as usize])
+        NogoodRef::from_canonical(self.slot_lits(idx))
     }
 
     /// Iterates over the live nogoods in slot order.
@@ -405,12 +551,16 @@ impl NogoodStore {
         &self,
         var: VariableId,
     ) -> impl Iterator<Item = (NogoodIdx, NogoodRef<'_>)> + '_ {
-        self.var_index
-            .get(&var)
-            .map(|indices| indices.as_slice())
-            .unwrap_or(&[])
+        let slots = match self.var_index.binary_search_by_key(&var, |seg| seg.var) {
+            Ok(i) => {
+                let seg = self.var_index[i];
+                &self.var_pool[seg.start as usize..(seg.start + seg.len) as usize]
+            }
+            Err(_) => &[],
+        };
+        slots
             .iter()
-            .map(move |&i| (i as NogoodIdx, self.slot_ref(i as usize)))
+            .map(move |&slot| (slot as NogoodIdx, self.slot_ref(slot as usize)))
     }
 
     /// Evaluates one nogood against `lookup`, counting **one** nogood check.
@@ -541,33 +691,26 @@ const NO_WATCH: u32 = u32::MAX;
 #[derive(Debug)]
 pub struct IncrementalEval {
     own_var: VariableId,
-    /// Sorted `(global variable index, local slot)` pairs mapping every
-    /// foreign variable this tracker has observed or watched to a dense
-    /// local slot. `shadow` and `watchers` are indexed by local slot, so
-    /// their size is proportional to the agent's *degree*, not to the
-    /// largest foreign variable id — indexing them by global id made
-    /// every agent carry an O(population) vector, which is quadratic
-    /// total memory at 10^5+ agents.
-    local_index: Vec<(u32, u32)>,
-    /// Mirror of the last refreshed view, indexed by local slot:
-    /// value and the epoch at which the variable was last seen (stale
-    /// epochs mark removed variables).
-    shadow: Vec<Option<(Value, u64)>>,
-    /// Variables currently present in `shadow` (the removal sweep only
-    /// walks these, not the whole dense table).
-    present: Vec<VariableId>,
+    /// Every foreign variable this tracker has observed or watched,
+    /// sorted by variable. Its size is proportional to the agent's
+    /// *degree*, not to the largest foreign variable id — a table
+    /// indexed by global id made every agent carry an O(population)
+    /// vector, which is quadratic total memory at 10^5+ agents.
+    locals: Vec<Local>,
     epoch: u64,
     /// Per slot: the own-variable value it prohibits, if it mentions
     /// the own variable at all. Re-read whenever the slot mutates.
     own_prohibited: Vec<Option<Value>>,
-    /// Bit `i`: every foreign literal of slot `i` matches the view
-    /// (always clear for dead slots).
-    foreign_sat: Vec<u64>,
-    /// Bit `i`: slot `i` has no own-variable literal (applies to every
-    /// own value).
-    applies_always: Vec<u64>,
-    /// `applies_by_value[v]` bit `i`: slot `i` prohibits own value `v`.
-    applies_by_value: Vec<Vec<u64>>,
+    /// The per-slot bitsets, `words` words per row, bit `i` of a row
+    /// describing slot `i`:
+    /// - row `FOREIGN_SAT`: every foreign literal of the slot matches
+    ///   the view (always clear for dead slots);
+    /// - row `APPLIES_ALWAYS`: the slot has no own-variable literal
+    ///   (applies to every own value);
+    /// - row `BY_VALUE + v`: the slot prohibits own value `v`.
+    bits: Vec<u64>,
+    /// Words per row of `bits`.
+    words: usize,
     /// How many store slots the per-slot caches cover.
     synced_slots: usize,
     /// Cursor into [`NogoodStore::mutation_log`]: entries before this
@@ -585,23 +728,37 @@ pub struct IncrementalEval {
     /// Whether the two-watched-literal machinery is active (one-way
     /// switch once the store outgrows `SMALL_STORE_LIMIT`).
     watched_mode: bool,
-    /// Per slot: up to two watched literal positions (indices into the
-    /// slot's literal slice), `NO_WATCH` when absent. Satisfied and dead
-    /// slots hold no watches.
+    /// Per slot (sized in watched mode only): up to two watched literal
+    /// positions (indices into the slot's literal slice), `NO_WATCH`
+    /// when absent. Satisfied and dead slots hold no watches.
     watches: Vec<[u32; 2]>,
     /// Per slot: the variable index each watch sits on (mirror of
     /// `watches`, so watcher lists can be maintained without re-reading
     /// possibly-overwritten literals).
     watch_vars: Vec<[u32; 2]>,
-    /// `watchers[local slot of var]`: exactly the slots currently
-    /// holding a watch on `var` (eagerly maintained — no stale entries).
-    /// Always the same length as `shadow`.
-    watchers: Vec<Vec<u32>>,
-    /// Scratch buffers recycled across refreshes (per-refresh heap
+    /// Scratch buffer recycled across refreshes (per-refresh heap
     /// allocation was the small-store regression).
     changed_scratch: Vec<VariableId>,
-    seen_scratch: Vec<VariableId>,
 }
+
+/// One foreign variable in [`IncrementalEval`]'s tables.
+#[derive(Debug)]
+struct Local {
+    /// Global variable index.
+    var: u32,
+    /// Mirror of the last refreshed view: the variable's value and the
+    /// epoch at which it was last seen (stale epochs mark removed
+    /// variables); `None` while unassigned.
+    shadow: Option<(Value, u64)>,
+    /// Exactly the slots currently holding a watch on this variable
+    /// (eagerly maintained — no stale entries).
+    watchers: Vec<u32>,
+}
+
+/// Rows of [`IncrementalEval`]'s per-slot bitsets.
+const FOREIGN_SAT: usize = 0;
+const APPLIES_ALWAYS: usize = 1;
+const BY_VALUE: usize = 2;
 
 #[inline]
 fn bit_get(bits: &[u64], idx: usize) -> bool {
@@ -630,14 +787,11 @@ impl IncrementalEval {
     pub fn new(own_var: VariableId) -> Self {
         IncrementalEval {
             own_var,
-            local_index: Vec::new(),
-            shadow: Vec::new(),
-            present: Vec::new(),
+            locals: Vec::new(),
             epoch: 0,
             own_prohibited: Vec::new(),
-            foreign_sat: Vec::new(),
-            applies_always: Vec::new(),
-            applies_by_value: Vec::new(),
+            bits: Vec::new(),
+            words: 0,
             synced_slots: 0,
             synced_mutations: 0,
             synced_generation: None,
@@ -646,9 +800,7 @@ impl IncrementalEval {
             watched_mode: false,
             watches: Vec::new(),
             watch_vars: Vec::new(),
-            watchers: Vec::new(),
             changed_scratch: Vec::new(),
-            seen_scratch: Vec::new(),
         }
     }
 
@@ -667,28 +819,75 @@ impl IncrementalEval {
         self.watched_mode
     }
 
-    /// The local slot of global variable index `g`, if it was ever
-    /// observed or watched.
+    /// Row `row` of the per-slot bitsets (empty if the row does not
+    /// exist yet).
     #[inline]
-    fn local_of(&self, g: u32) -> Option<u32> {
-        self.local_index
-            .binary_search_by_key(&g, |&(gv, _)| gv)
-            .ok()
-            .map(|p| self.local_index[p].1)
+    fn row(&self, row: usize) -> &[u64] {
+        self.bits
+            .get(row * self.words..(row + 1) * self.words)
+            .unwrap_or(&[])
     }
 
-    /// The local slot of global variable index `g`, allocating the slot
-    /// (and its `shadow`/`watchers` cells) on first touch. Slots are
-    /// stable: once handed out, a slot never moves.
-    fn local_or_insert(&mut self, g: u32) -> u32 {
-        match self.local_index.binary_search_by_key(&g, |&(gv, _)| gv) {
-            Ok(p) => self.local_index[p].1,
+    /// Row `row` of the per-slot bitsets, mutably; the row must exist.
+    #[inline]
+    fn row_mut(&mut self, row: usize) -> &mut [u64] {
+        &mut self.bits[row * self.words..(row + 1) * self.words]
+    }
+
+    #[inline]
+    fn is_foreign_sat(&self, idx: usize) -> bool {
+        bit_get(self.row(FOREIGN_SAT), idx)
+    }
+
+    /// Own value `value`'s row of the per-slot bitsets, if any synced
+    /// slot ever prohibited that value.
+    #[inline]
+    fn applies_to(&self, value: Value) -> Option<&[u64]> {
+        let row = BY_VALUE + value.index();
+        self.bits.get(row * self.words..(row + 1) * self.words)
+    }
+
+    /// Re-lays the per-slot bitsets out at `words` words per row, with
+    /// room for the rows of own values below `values`.
+    fn grow_words(&mut self, words: usize, values: usize) {
+        let old = self.words;
+        let rows = (BY_VALUE + values).max(self.bits.len() / old.max(1));
+        let mut bits = vec![0; rows * words];
+        if old > 0 {
+            for (new, old_row) in bits
+                .chunks_exact_mut(words)
+                .zip(self.bits.chunks_exact(old))
+            {
+                new[..old].copy_from_slice(old_row);
+            }
+        }
+        self.bits = bits;
+        self.words = words;
+    }
+
+    /// The position in `locals` of global variable index `g`, if it was
+    /// ever observed or watched.
+    #[inline]
+    fn local_of(&self, g: u32) -> Option<usize> {
+        self.locals.binary_search_by_key(&g, |l| l.var).ok()
+    }
+
+    /// The position in `locals` of global variable index `g`, inserting
+    /// its entry on first touch. Insertion shifts later entries, so a
+    /// position is only good until the next insertion.
+    fn local_or_insert(&mut self, g: u32) -> usize {
+        match self.locals.binary_search_by_key(&g, |l| l.var) {
+            Ok(p) => p,
             Err(p) => {
-                let local = self.shadow.len() as u32;
-                self.local_index.insert(p, (g, local));
-                self.shadow.push(None);
-                self.watchers.push(Vec::new());
-                local
+                self.locals.insert(
+                    p,
+                    Local {
+                        var: g,
+                        shadow: None,
+                        watchers: Vec::new(),
+                    },
+                );
+                p
             }
         }
     }
@@ -705,12 +904,18 @@ impl IncrementalEval {
     where
         I: IntoIterator<Item = (VariableId, Value)>,
     {
+        let view = view.into_iter();
+        if self.epoch == 0 {
+            // First refresh: size the per-variable caches once for every
+            // variable the view or the store can bring in.
+            let vars = view.size_hint().0.max(store.var_count());
+            self.locals.reserve(vars);
+            self.changed_scratch.reserve(vars);
+        }
         self.epoch += 1;
         let epoch = self.epoch;
         let mut changed = mem::take(&mut self.changed_scratch);
         changed.clear();
-        let mut seen = mem::take(&mut self.seen_scratch);
-        seen.clear();
 
         for (var, value) in view {
             debug_assert_ne!(
@@ -718,8 +923,8 @@ impl IncrementalEval {
                 "the view passed to IncrementalEval::refresh must not \
                  contain the own variable"
             );
-            let slot_idx = self.local_or_insert(var.index() as u32) as usize;
-            match &mut self.shadow[slot_idx] {
+            let li = self.local_or_insert(var.index() as u32);
+            match &mut self.locals[li].shadow {
                 Some((stored, stamp)) => {
                     if *stored != value {
                         *stored = value;
@@ -732,26 +937,16 @@ impl IncrementalEval {
                     changed.push(var);
                 }
             }
-            seen.push(var);
         }
         // Variables not seen this epoch were removed from the view.
-        // Present variables always have a local slot (allocated when
-        // they were first observed above).
-        for &var in &self.present {
-            let Some(local) = self.local_of(var.index() as u32) else {
-                continue;
-            };
-            let li = local as usize;
-            if let Some((_, stamp)) = self.shadow[li] {
+        for local in &mut self.locals {
+            if let Some((_, stamp)) = local.shadow {
                 if stamp != epoch {
-                    self.shadow[li] = None;
-                    changed.push(var);
+                    local.shadow = None;
+                    changed.push(VariableId::new(local.var));
                 }
             }
         }
-        // `seen` becomes the new `present`; the old vector is recycled
-        // as next refresh's scratch.
-        self.seen_scratch = mem::replace(&mut self.present, seen);
 
         // The shadow is fully up to date before any per-slot processing,
         // so watch decisions below always see the final assignment.
@@ -793,14 +988,26 @@ impl IncrementalEval {
         let slot_count = store.slot_count();
         if slot_count > self.synced_slots {
             let words = slot_count.div_ceil(64);
-            self.foreign_sat.resize(words, 0);
-            self.applies_always.resize(words, 0);
-            for mask in &mut self.applies_by_value {
-                mask.resize(words, 0);
+            if words > self.words {
+                // Size the value rows and counters once for every own
+                // value the store prohibits now; the log replay below
+                // then fills them without regrowing.
+                let values = store
+                    .iter()
+                    .filter_map(|ng| ng.value_of(self.own_var))
+                    .map(|value| value.index() + 1)
+                    .max()
+                    .unwrap_or(0);
+                self.grow_words(words, values);
+                if self.sat_by_value.len() < values {
+                    self.sat_by_value.resize(values, 0);
+                }
             }
             self.own_prohibited.resize(slot_count, None);
-            self.watches.resize(slot_count, [NO_WATCH; 2]);
-            self.watch_vars.resize(slot_count, [NO_WATCH; 2]);
+            if self.watched_mode {
+                self.watches.resize(slot_count, [NO_WATCH; 2]);
+                self.watch_vars.resize(slot_count, [NO_WATCH; 2]);
+            }
             self.synced_slots = slot_count;
         }
         let log = store.mutation_log();
@@ -823,7 +1030,7 @@ impl IncrementalEval {
     fn resync_slot(&mut self, store: &NogoodStore, idx: usize) {
         // Undo. Counter adjustment must happen while `own_prohibited`
         // still describes the old content.
-        if bit_get(&self.foreign_sat, idx) {
+        if self.is_foreign_sat(idx) {
             self.set_foreign_sat(idx, false);
         }
         if self.watched_mode {
@@ -837,25 +1044,22 @@ impl IncrementalEval {
             self.watch_vars[idx] = [NO_WATCH; 2];
         }
         match self.own_prohibited[idx].take() {
-            None => bit_clear(&mut self.applies_always, idx),
-            Some(value) => {
-                if let Some(mask) = self.applies_by_value.get_mut(value.index()) {
-                    bit_clear(mask, idx);
-                }
-            }
+            None => bit_clear(self.row_mut(APPLIES_ALWAYS), idx),
+            Some(value) => bit_clear(self.row_mut(BY_VALUE + value.index()), idx),
         }
         // Redo from the slot's current content (dead slots stay cleared).
         let Some(ng) = store.get(idx) else { return };
         let prohibited = ng.value_of(self.own_var);
         self.own_prohibited[idx] = prohibited;
         match prohibited {
-            None => bit_set(&mut self.applies_always, idx),
+            None => bit_set(self.row_mut(APPLIES_ALWAYS), idx),
             Some(value) => {
-                let words = self.foreign_sat.len();
-                while self.applies_by_value.len() <= value.index() {
-                    self.applies_by_value.push(vec![0; words]);
+                let row = BY_VALUE + value.index();
+                let end = (row + 1) * self.words;
+                if self.bits.len() < end {
+                    self.bits.resize(end, 0);
                 }
-                bit_set(&mut self.applies_by_value[value.index()], idx);
+                bit_set(self.row_mut(row), idx);
             }
         }
         if self.watched_mode {
@@ -874,6 +1078,8 @@ impl IncrementalEval {
     /// then finds nothing left to fix.
     fn enter_watched_mode(&mut self, store: &NogoodStore) {
         self.watched_mode = true;
+        self.watches.resize(self.synced_slots, [NO_WATCH; 2]);
+        self.watch_vars.resize(self.synced_slots, [NO_WATCH; 2]);
         for (idx, ng) in store.entries() {
             self.install_watch_state(idx, ng);
         }
@@ -885,7 +1091,7 @@ impl IncrementalEval {
     #[inline]
     fn matches_shadow(&self, e: &VarValue) -> bool {
         self.local_of(e.var.index() as u32)
-            .and_then(|li| self.shadow[li as usize])
+            .and_then(|li| self.locals[li].shadow)
             .map(|(v, _)| v)
             == Some(e.value)
     }
@@ -942,7 +1148,7 @@ impl IncrementalEval {
         // total number of satisfied nogoods.
         for &var in changed {
             for (idx, ng) in store.for_variable(var) {
-                if !bit_get(&self.foreign_sat, idx) {
+                if !self.is_foreign_sat(idx) {
                     continue; // unsatisfied: its watches cover it
                 }
                 if self.compute_foreign_sat(ng) {
@@ -958,11 +1164,10 @@ impl IncrementalEval {
         // fired are visited.
         for &var in changed {
             let vi32 = var.index() as u32;
-            let Some(local) = self.local_of(vi32) else {
+            let Some(li) = self.local_of(vi32) else {
                 continue;
             };
-            let li = local as usize;
-            let mut list = mem::take(&mut self.watchers[li]);
+            let mut list = mem::take(&mut self.locals[li].watchers);
             let mut kept = 0usize;
             'entries: for e in 0..list.len() {
                 let slot = list[e];
@@ -1032,36 +1237,38 @@ impl IncrementalEval {
                 // Fired entry dropped (not copied to the kept region).
             }
             list.truncate(kept);
-            // Local slots are stable, so `li` still addresses `var`'s
-            // list even if `add_watcher` allocated new slots above.
-            self.watchers[li] = list;
+            // `add_watcher` may have inserted locals above and shifted
+            // `var`'s position: look it up again.
+            if let Some(li) = self.local_of(vi32) {
+                self.locals[li].watchers = list;
+            }
         }
     }
 
     fn add_watcher(&mut self, var_index: u32, slot: u32) {
-        let li = self.local_or_insert(var_index) as usize;
-        self.watchers[li].push(slot);
+        let li = self.local_or_insert(var_index);
+        self.locals[li].watchers.push(slot);
     }
 
     fn remove_watcher(&mut self, var_index: u32, slot: u32) {
-        let Some(local) = self.local_of(var_index) else {
+        let Some(li) = self.local_of(var_index) else {
             return;
         };
-        let list = &mut self.watchers[local as usize];
+        let list = &mut self.locals[li].watchers;
         if let Some(pos) = list.iter().position(|&s| s == slot) {
             list.swap_remove(pos);
         }
     }
 
     fn set_foreign_sat(&mut self, idx: NogoodIdx, sat: bool) {
-        if bit_get(&self.foreign_sat, idx) == sat {
+        if self.is_foreign_sat(idx) == sat {
             return;
         }
         let delta: isize = if sat {
-            bit_set(&mut self.foreign_sat, idx);
+            bit_set(self.row_mut(FOREIGN_SAT), idx);
             1
         } else {
-            bit_clear(&mut self.foreign_sat, idx);
+            bit_clear(self.row_mut(FOREIGN_SAT), idx);
             -1
         };
         match self.own_prohibited[idx] {
@@ -1091,11 +1298,10 @@ impl IncrementalEval {
             "slot {idx} created after the last refresh (synced {})",
             self.synced_slots
         );
-        bit_get(&self.foreign_sat, idx)
-            && (bit_get(&self.applies_always, idx)
+        self.is_foreign_sat(idx)
+            && (bit_get(self.row(APPLIES_ALWAYS), idx)
                 || self
-                    .applies_by_value
-                    .get(own_value.index())
+                    .applies_to(own_value)
                     .is_some_and(|mask| bit_get(mask, idx)))
     }
 
@@ -1117,11 +1323,11 @@ impl IncrementalEval {
     /// literal work, ~n/64 word operations plus one push per violated
     /// nogood.
     pub fn violated_with(&self, own_value: Value) -> Vec<NogoodIdx> {
-        let by_value = self.applies_by_value.get(own_value.index());
+        let by_value = self.applies_to(own_value);
+        let always = self.row(APPLIES_ALWAYS);
         let mut violated = Vec::new();
-        for (w, &sat) in self.foreign_sat.iter().enumerate() {
-            let applies =
-                self.applies_always[w] | by_value.map(|mask| mask[w]).unwrap_or_default();
+        for (w, &sat) in self.row(FOREIGN_SAT).iter().enumerate() {
+            let applies = always[w] | by_value.map_or(0, |mask| mask[w]);
             let mut bits = sat & applies;
             while bits != 0 {
                 violated.push(w * 64 + bits.trailing_zeros() as usize);
@@ -1334,6 +1540,40 @@ mod tests {
         assert_eq!(store.get(0).unwrap(), pair(0, 0, 1, 0));
         assert_eq!(store.len(), 3);
         assert_eq!(store.slot_count(), 3);
+    }
+
+    #[test]
+    fn colliding_hashes_splice_chain_head_middle_and_reused_slots() {
+        // Every nogood hashes to 0, so all of them share one dedupe chain
+        // (newest first).
+        HASH_MASK.with(|mask| mask.set(0));
+        let (a, b, c) = (pair(0, 0, 1, 0), pair(0, 1, 1, 1), pair(2, 0, 3, 0));
+        let mut store = NogoodStore::new();
+        for ng in [&a, &b, &c] {
+            assert!(store.insert_learned(ng.clone()));
+        }
+        assert!(!store.insert_learned(b.clone()), "found mid-chain");
+        store.bump_activity(0);
+        store.bump_activity(2);
+        // Chain c -> b -> a: evicting b splices the middle.
+        assert_eq!(store.forget(2), vec![1]);
+        assert!(store.contains(&a) && store.contains(&c) && !store.contains(&b));
+        // Chain c -> a: evicting c splices the head.
+        store.bump_activity(0);
+        assert_eq!(store.forget(1), vec![2]);
+        assert!(store.contains(&a) && !store.contains(&c));
+        // Reinsertion reuses the freed slots (LIFO) and relinks them.
+        assert!(store.insert_learned(c.clone()));
+        assert!(store.insert_learned(b.clone()));
+        assert_eq!(store.get(2).unwrap(), c);
+        assert_eq!(store.get(1).unwrap(), b);
+        assert!(!store.insert(a.clone()) && !store.insert(b.clone()) && !store.insert(c.clone()));
+        // Chain b -> c -> a: eviction order a (tail), c (middle), b (head).
+        assert_eq!(store.forget(0), vec![0, 1, 2]);
+        assert!(!store.contains(&a) && !store.contains(&b) && !store.contains(&c));
+        assert!(store.insert(a.clone()));
+        assert_eq!(store.for_variable(x(1)).count(), 1);
+        HASH_MASK.with(|mask| mask.set(u64::MAX));
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! The distributed breakout agent state machine (§4.3 of the paper).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
+use std::mem;
 
 use discsp_core::{
-    AgentId, Domain, IncrementalEval, Nogood, NogoodIdx, NogoodStore, Value, VarValue, VariableId,
+    AgentId, Domain, IncrementalEval, NogoodIdx, NogoodLits, NogoodStore, Value, VarValue,
+    VariableId,
 };
 use discsp_runtime::{AgentStats, DistributedAgent, Envelope, Outbox};
 use serde::{Deserialize, Serialize};
@@ -34,6 +36,25 @@ enum Phase {
     WaitImprove,
 }
 
+/// A neighbour variable's cell in the dense wave buffers.
+#[derive(Debug, Clone, Copy)]
+struct NeighborVar {
+    var: VariableId,
+    /// The value the last completed `ok?` wave saw (`None` before the
+    /// first wave).
+    view: Option<Value>,
+    /// The `ok?` value buffered for the next `ok?` wave.
+    pending: Option<Value>,
+}
+
+/// A neighbour agent's cell in the dense wave buffers: the `improve` it
+/// sent for the next `improve` wave, if it arrived yet.
+#[derive(Debug, Clone, Copy)]
+struct NeighborAgent {
+    agent: AgentId,
+    pending: Option<u64>,
+}
+
 /// One distributed breakout agent owning a single variable.
 ///
 /// DB alternates two synchronized waves: an `ok?` wave announcing values,
@@ -56,12 +77,17 @@ pub struct DbaAgent {
     /// Weight of nogood `i` is `weights[weight_group[i]]`.
     weights: Vec<u64>,
     weight_group: Vec<usize>,
-    neighbor_vars: BTreeSet<VariableId>,
-    neighbor_agents: BTreeSet<AgentId>,
-    view: BTreeMap<VariableId, Value>,
+    /// Neighbour variables, ascending: the view and the buffered `ok?`s.
+    vars: Vec<NeighborVar>,
+    /// Neighbour agents, ascending: the `ok?`/`improve` send order and
+    /// the buffered `improve`s.
+    agents: Vec<NeighborAgent>,
+    /// How many `vars` hold a buffered `ok?` (the `ok?` wave is ready at
+    /// `vars.len()`).
+    oks_buffered: usize,
+    /// How many `agents` hold a buffered `improve`.
+    improves_buffered: usize,
     phase: Phase,
-    ok_pending: BTreeMap<VariableId, Value>,
-    improve_pending: BTreeMap<AgentId, u64>,
     /// Computed during the `ok?` wave for use in the `improve` wave.
     planned_value: Value,
     my_improve: u64,
@@ -74,18 +100,25 @@ impl DbaAgent {
     /// Creates an agent for `var` with its relevant nogoods and
     /// neighborhood, all weights starting at 1.
     ///
+    /// `nogoods` may be owned or borrowed (`problem.nogoods_of(var)`):
+    /// the agent copies their literals into its own store.
+    ///
     /// # Panics
     ///
     /// Panics if `initial_value` is outside `domain`.
-    pub fn new(
+    pub fn new<I>(
         id: AgentId,
         var: VariableId,
         domain: Domain,
         initial_value: Value,
-        nogoods: Vec<Nogood>,
+        nogoods: I,
         neighbors: Vec<(VariableId, AgentId)>,
         mode: WeightMode,
-    ) -> Self {
+    ) -> Self
+    where
+        I: IntoIterator,
+        I::Item: NogoodLits,
+    {
         assert!(
             domain.contains(initial_value),
             "initial value {initial_value} outside domain {domain}"
@@ -108,6 +141,25 @@ impl DbaAgent {
                 (vec![1; group_of.len()], groups)
             }
         };
+        let mut vars: Vec<NeighborVar> = neighbors
+            .iter()
+            .map(|&(var, _)| NeighborVar {
+                var,
+                view: None,
+                pending: None,
+            })
+            .collect();
+        vars.sort_unstable_by_key(|n| n.var);
+        vars.dedup_by_key(|n| n.var);
+        let mut agents: Vec<NeighborAgent> = neighbors
+            .iter()
+            .map(|&(_, agent)| NeighborAgent {
+                agent,
+                pending: None,
+            })
+            .collect();
+        agents.sort_unstable_by_key(|n| n.agent);
+        agents.dedup_by_key(|n| n.agent);
         DbaAgent {
             id,
             var,
@@ -117,12 +169,11 @@ impl DbaAgent {
             eval: IncrementalEval::new(var),
             weights,
             weight_group,
-            neighbor_vars: neighbors.iter().map(|&(v, _)| v).collect(),
-            neighbor_agents: neighbors.iter().map(|&(_, a)| a).collect(),
-            view: BTreeMap::new(),
+            vars,
+            agents,
+            oks_buffered: 0,
+            improves_buffered: 0,
             phase: Phase::WaitOk,
-            ok_pending: BTreeMap::new(),
-            improve_pending: BTreeMap::new(),
             planned_value: initial_value,
             my_improve: 0,
             my_eval: 0,
@@ -151,34 +202,38 @@ impl DbaAgent {
     /// work is proportional to the view size plus the nogoods touching
     /// actually-changed variables.
     fn sync_eval(&mut self) {
-        self.eval
-            .refresh(&self.store, self.view.iter().map(|(&k, &v)| (k, v)));
+        let view = self
+            .vars
+            .iter()
+            .filter_map(|n| n.view.map(|value| (n.var, value)));
+        self.eval.refresh(&self.store, view);
     }
 
-    /// Metered weighted cost of taking `value` under the current view,
-    /// together with the violated store indices.
+    /// Metered weighted cost of taking `value` under the current view;
+    /// the violated store indices are appended to `violated` when given.
     ///
     /// Answers from the [`IncrementalEval`] cache but charges one check
     /// per stored nogood — exactly the cost of the naive full scan this
     /// replaces, keeping `maxcck` bit-identical (pinned by the golden
     /// metric tests).
-    fn eval_value(&self, value: Value) -> (u64, Vec<NogoodIdx>) {
+    fn eval_value(&self, value: Value, mut violated: Option<&mut Vec<NogoodIdx>>) -> u64 {
         self.store.charge_checks(self.store.len() as u64);
         let mut cost = 0u64;
-        let mut violated = Vec::new();
         for i in self.store.indices() {
             if self.eval.is_violated(i, value) {
                 cost += self.weights[self.weight_group[i]];
-                violated.push(i);
+                if let Some(violated) = violated.as_deref_mut() {
+                    violated.push(i);
+                }
             }
         }
-        (cost, violated)
+        cost
     }
 
     fn send_ok(&self, out: &mut Outbox<DbaMessage>) {
-        for &peer in &self.neighbor_agents {
+        for peer in &self.agents {
             out.send(
-                peer,
+                peer.agent,
                 DbaMessage::Ok {
                     var: self.var,
                     value: self.value,
@@ -190,11 +245,16 @@ impl DbaAgent {
     /// Runs the `ok?` wave: absorb neighbor values, compute eval /
     /// improve / planned move, broadcast `improve`.
     fn process_ok_wave(&mut self, out: &mut Outbox<DbaMessage>) {
-        for (var, value) in std::mem::take(&mut self.ok_pending) {
-            self.view.insert(var, value);
+        for n in &mut self.vars {
+            if let Some(value) = n.pending.take() {
+                n.view = Some(value);
+            }
         }
+        self.oks_buffered = 0;
         self.sync_eval();
-        let (eval, violated) = self.eval_value(self.value);
+        let mut violated = mem::take(&mut self.violated_now);
+        violated.clear();
+        let eval = self.eval_value(self.value, Some(&mut violated));
         self.my_eval = eval;
         self.violated_now = violated;
         // Best alternative value.
@@ -204,7 +264,7 @@ impl DbaAgent {
             if d == self.value {
                 continue;
             }
-            let (cost, _) = self.eval_value(d);
+            let cost = self.eval_value(d, None);
             if cost < best_cost {
                 best_cost = cost;
                 best_value = d;
@@ -212,29 +272,37 @@ impl DbaAgent {
         }
         self.planned_value = best_value;
         self.my_improve = eval - best_cost;
-        for &peer in &self.neighbor_agents {
+        self.send_improve(out);
+        self.phase = Phase::WaitImprove;
+    }
+
+    fn send_improve(&self, out: &mut Outbox<DbaMessage>) {
+        for peer in &self.agents {
             out.send(
-                peer,
+                peer.agent,
                 DbaMessage::Improve {
                     improve: self.my_improve,
                     eval: self.my_eval,
                 },
             );
         }
-        self.phase = Phase::WaitImprove;
     }
 
     /// Runs the `improve` wave: arbitrate the right to move, move or
     /// break out, broadcast `ok?`.
     fn process_improve_wave(&mut self, out: &mut Outbox<DbaMessage>) {
-        let improves = std::mem::take(&mut self.improve_pending);
         // The right to change: strictly larger improve than every
-        // neighbor, ties broken toward the smaller agent id.
-        let wins = self.my_improve > 0
-            && improves.iter().all(|(&agent, &imp)| {
-                self.my_improve > imp || (self.my_improve == imp && self.id < agent)
-            });
-        let nobody_improves = self.my_improve == 0 && improves.values().all(|&imp| imp == 0);
+        // neighbor, ties broken toward the smaller agent id. The wave is
+        // ready, so every neighbor's improve is buffered.
+        let (id, mine) = (self.id, self.my_improve);
+        let mut wins = mine > 0;
+        let mut nobody_improves = mine == 0;
+        for n in &mut self.agents {
+            let imp = n.pending.take().unwrap_or(0);
+            wins &= mine > imp || (mine == imp && id < n.agent);
+            nobody_improves &= imp == 0;
+        }
+        self.improves_buffered = 0;
         if wins {
             self.value = self.planned_value;
         } else if self.my_eval > 0 && nobody_improves {
@@ -250,14 +318,29 @@ impl DbaAgent {
 
     fn wave_ready(&self) -> bool {
         match self.phase {
-            Phase::WaitOk => self
-                .neighbor_vars
-                .iter()
-                .all(|v| self.ok_pending.contains_key(v)),
-            Phase::WaitImprove => self
-                .neighbor_agents
-                .iter()
-                .all(|a| self.improve_pending.contains_key(a)),
+            Phase::WaitOk => self.oks_buffered == self.vars.len(),
+            Phase::WaitImprove => self.improves_buffered == self.agents.len(),
+        }
+    }
+
+    /// Buffers a neighbor's `ok?` for the next `ok?` wave. A repeat from
+    /// the same variable (a nudge resend) overwrites instead of counting
+    /// twice; variables outside the neighborhood are ignored.
+    fn buffer_ok(&mut self, var: VariableId, value: Value) {
+        if let Ok(i) = self.vars.binary_search_by_key(&var, |n| n.var) {
+            if self.vars[i].pending.replace(value).is_none() {
+                self.oks_buffered += 1;
+            }
+        }
+    }
+
+    /// Buffers a neighbor's `improve` for the next `improve` wave, with
+    /// the same repeat and outsider rules as [`DbaAgent::buffer_ok`].
+    fn buffer_improve(&mut self, from: AgentId, improve: u64) {
+        if let Ok(i) = self.agents.binary_search_by_key(&from, |n| n.agent) {
+            if self.agents[i].pending.replace(improve).is_none() {
+                self.improves_buffered += 1;
+            }
         }
     }
 }
@@ -270,17 +353,17 @@ impl DistributedAgent for DbaAgent {
     }
 
     fn on_start(&mut self, out: &mut Outbox<DbaMessage>) {
-        if self.neighbor_agents.is_empty() {
+        if self.agents.is_empty() {
             // Isolated variable: settle its (unary) nogoods immediately —
             // no waves will ever run.
             self.sync_eval();
-            let (_, _) = self.eval_value(self.value);
+            self.eval_value(self.value, None);
             // Domains are nonempty by construction; the fallback keeps
             // this step function panic-free.
             let best = self
                 .domain
                 .iter()
-                .min_by_key(|&d| self.eval_value(d).0)
+                .min_by_key(|&d| self.eval_value(d, None))
                 .unwrap_or(self.value);
             self.value = best;
             return;
@@ -289,7 +372,7 @@ impl DistributedAgent for DbaAgent {
     }
 
     fn on_batch(&mut self, inbox: Vec<Envelope<DbaMessage>>, out: &mut Outbox<DbaMessage>) {
-        if self.neighbor_agents.is_empty() {
+        if self.agents.is_empty() {
             // An isolated variable has no waves to run (and already
             // settled at start); without this guard the vacuously-ready
             // wave loop below would spin forever.
@@ -297,12 +380,8 @@ impl DistributedAgent for DbaAgent {
         }
         for env in inbox {
             match env.payload {
-                DbaMessage::Ok { var, value } => {
-                    self.ok_pending.insert(var, value);
-                }
-                DbaMessage::Improve { improve, .. } => {
-                    self.improve_pending.insert(env.from, improve);
-                }
+                DbaMessage::Ok { var, value } => self.buffer_ok(var, value),
+                DbaMessage::Improve { improve, .. } => self.buffer_improve(env.from, improve),
             }
         }
         // A buffered backlog can complete several waves back to back
@@ -328,26 +407,17 @@ impl DistributedAgent for DbaAgent {
     }
 
     fn on_nudge(&mut self, out: &mut Outbox<DbaMessage>) {
-        if self.neighbor_agents.is_empty() {
+        if self.agents.is_empty() {
             return;
         }
         // Resend the message of the wave this agent last completed — what
-        // a stalled neighbor must be waiting for. Wave buffers are keyed
-        // maps, so a peer that already has the message absorbs the copy
-        // idempotently.
+        // a stalled neighbor must be waiting for. A wave buffer holds one
+        // cell per neighbor and a repeat overwrites its cell without
+        // counting again, so a peer that already has the message absorbs
+        // the copy idempotently.
         match self.phase {
             Phase::WaitOk => self.send_ok(out),
-            Phase::WaitImprove => {
-                for &peer in &self.neighbor_agents {
-                    out.send(
-                        peer,
-                        DbaMessage::Improve {
-                            improve: self.my_improve,
-                            eval: self.my_eval,
-                        },
-                    );
-                }
-            }
+            Phase::WaitImprove => self.send_improve(out),
         }
     }
 }
@@ -355,6 +425,7 @@ impl DistributedAgent for DbaAgent {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use discsp_core::Nogood;
 
     fn x(i: u32) -> VariableId {
         VariableId::new(i)
@@ -381,13 +452,13 @@ mod tests {
     #[test]
     fn eval_counts_weighted_violations() {
         let mut agent = two_agent_pair(WeightMode::PerNogood);
-        agent.view.insert(x(1), v(0));
+        agent.vars[0].view = Some(v(0));
         agent.sync_eval();
-        let (cost, violated) = agent.eval_value(v(0));
-        assert_eq!(cost, 1);
+        let mut violated = Vec::new();
+        assert_eq!(agent.eval_value(v(0), Some(&mut violated)), 1);
         assert_eq!(violated, vec![0]);
-        let (cost, violated) = agent.eval_value(v(1));
-        assert_eq!(cost, 0);
+        violated.clear();
+        assert_eq!(agent.eval_value(v(1), Some(&mut violated)), 0);
         assert!(violated.is_empty());
         // Four checks were metered (two nogoods × two evaluations).
         assert_eq!(agent.store.take_checks(), 4);
@@ -538,6 +609,95 @@ mod tests {
         assert_eq!(agent.weight_of(1), Some(1));
     }
 
+    fn ok(from: u32, to: u32, value: u16) -> Envelope<DbaMessage> {
+        Envelope::new(
+            AgentId::new(from),
+            AgentId::new(to),
+            DbaMessage::Ok {
+                var: x(from),
+                value: v(value),
+            },
+        )
+    }
+
+    fn improve(from: u32, to: u32, improve: u64) -> Envelope<DbaMessage> {
+        Envelope::new(
+            AgentId::new(from),
+            AgentId::new(to),
+            DbaMessage::Improve { improve, eval: 1 },
+        )
+    }
+
+    #[test]
+    fn early_and_duplicate_messages_fill_one_buffer_cell_each() {
+        // Agent 1 between neighbours 0 and 2 (two-color path).
+        let mut agent = DbaAgent::new(
+            AgentId::new(1),
+            x(1),
+            Domain::new(2),
+            v(0),
+            vec![
+                Nogood::of([(x(1), v(0)), (x(0), v(0))]),
+                Nogood::of([(x(1), v(1)), (x(0), v(1))]),
+                Nogood::of([(x(1), v(0)), (x(2), v(0))]),
+                Nogood::of([(x(1), v(1)), (x(2), v(1))]),
+            ],
+            vec![(x(2), AgentId::new(2)), (x(0), AgentId::new(0))],
+            WeightMode::PerNogood,
+        );
+        let mut out = Outbox::new(agent.id());
+        // A duplicated ok? (a nudge resend) counts once: the wave still
+        // waits for neighbour 2.
+        agent.on_batch(vec![ok(0, 1, 1), ok(0, 1, 1)], &mut out);
+        assert!(out.is_empty());
+        assert_eq!(agent.phase, Phase::WaitOk);
+        agent.on_batch(vec![ok(2, 1, 0)], &mut out);
+        assert_eq!(agent.phase, Phase::WaitImprove);
+        // x2 = 0 conflicts with the own 0; moving to 1 conflicts with
+        // x0 = 1 instead: eval 1, improve 0.
+        assert_eq!((agent.my_eval, agent.my_improve), (1, 0));
+        let sent: Vec<AgentId> = out.drain().iter().map(|e| e.to).collect();
+        assert_eq!(
+            sent,
+            vec![AgentId::new(0), AgentId::new(2)],
+            "ascending ids"
+        );
+
+        // Neighbour 0 already finished this improve wave and sends its
+        // next ok? early: buffered, nothing runs.
+        agent.on_batch(vec![improve(0, 1, 0), ok(0, 1, 0)], &mut out);
+        assert!(out.is_empty());
+        assert_eq!(agent.phase, Phase::WaitImprove);
+        // A nudge resends the pending wave's improve, unchanged.
+        agent.on_nudge(&mut out);
+        let resent = out.drain();
+        assert_eq!(resent.len(), 2);
+        assert!(resent.iter().all(|e| matches!(
+            e.payload,
+            DbaMessage::Improve {
+                improve: 0,
+                eval: 1
+            }
+        )));
+        // Neighbour 0's improve arrives twice; the wave completes once:
+        // nobody improves, so the violated nogood's weight rises and the
+        // agent announces ok?.
+        agent.on_batch(vec![improve(0, 1, 0), improve(2, 1, 0)], &mut out);
+        assert_eq!(agent.weight_of(2), Some(2));
+        assert_eq!(agent.phase, Phase::WaitOk);
+        let announced = out.drain();
+        assert_eq!(announced.len(), 2);
+        assert!(announced
+            .iter()
+            .all(|e| matches!(e.payload, DbaMessage::Ok { value, .. } if value == v(0))));
+        // The early ok? from neighbour 0 is still buffered: neighbour 2's
+        // ok? alone completes the next ok? wave, against x0 = 0, x2 = 1.
+        agent.on_batch(vec![ok(2, 1, 1)], &mut out);
+        assert_eq!(agent.phase, Phase::WaitImprove);
+        assert_eq!((agent.my_eval, agent.my_improve), (1, 0));
+        assert_eq!(agent.violated_now, vec![0]);
+    }
+
     #[test]
     fn per_pair_mode_groups_by_foreign_vars() {
         let agent = two_agent_pair(WeightMode::PerPair);
@@ -556,7 +716,7 @@ mod tests {
             x(0),
             Domain::new(2),
             v(0),
-            vec![],
+            Vec::<Nogood>::new(),
             vec![],
             WeightMode::PerNogood,
         );
@@ -590,7 +750,7 @@ mod tests {
             x(0),
             Domain::new(2),
             v(9),
-            vec![],
+            Vec::<Nogood>::new(),
             vec![],
             WeightMode::PerNogood,
         );

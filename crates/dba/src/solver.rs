@@ -185,9 +185,14 @@ impl DbaSolver {
                 .iter()
                 .map(|&v| (v, problem.owner(v)))
                 .collect();
-            let nogoods = problem.nogoods_of(var).cloned().collect();
             agents.push(DbaAgent::new(
-                agent_id, var, domain, value, nogoods, neighbors, self.mode,
+                agent_id,
+                var,
+                domain,
+                value,
+                problem.nogoods_of(var),
+                neighbors,
+                self.mode,
             ));
         }
         Ok(agents)
