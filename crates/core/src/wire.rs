@@ -306,7 +306,12 @@ impl<T: Wire> Wire for Vec<T> {
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         let len = r.len_prefix("Vec")?;
-        let mut items = Vec::with_capacity(len);
+        // `len_prefix` bounds `len` by the bytes left, but one wire byte
+        // can stand for many bytes in memory: presize only as many items
+        // as the remaining bytes could hold, so a hostile prefix cannot
+        // amplify into an allocation larger than its frame.
+        let fits = r.remaining() / std::mem::size_of::<T>().max(1);
+        let mut items = Vec::with_capacity(len.min(fits));
         for _ in 0..len {
             items.push(T::decode(r)?);
         }

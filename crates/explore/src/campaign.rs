@@ -20,8 +20,12 @@
 //!    is flagged as non-quiescence. Incomplete algorithms on insoluble
 //!    instances are exempt: they can never terminate, so burning the
 //!    budgets there is the expected outcome.
-//! 4. **Replay determinism** — the identical config must reproduce the
-//!    identical run, bit for bit.
+//! 4. **Replay determinism across runtimes** — the identical config,
+//!    replayed on a different runtime, must reproduce the identical run
+//!    bit for bit (the trace up to its `RunEnd` runtime stamp). Trials
+//!    alternate the replay between the sharded executor, cycling through
+//!    1–4 workers, and a solve-service session with an unbounded budget;
+//!    all of them drive the same wave engine as the virtual executor.
 //!
 //! A failing trial's recorded fault log is first re-run as a script
 //! (confirming the failure is carried by the schedule), then handed to
@@ -33,11 +37,13 @@
 use std::fmt;
 
 use discsp_core::Termination;
-use discsp_runtime::{derive_seed, FaultSchedule, LinkPolicy, VirtualConfig, VirtualReport};
+use discsp_runtime::{
+    derive_seed, FaultSchedule, LinkPolicy, TraceEvent, VirtualConfig, VirtualReport,
+};
 use discsp_trace::{audit, AuditField};
 
 use crate::minimize::{ddmin, MinimizeOutcome};
-use crate::subject::{Algo, GroundTruth, Subject};
+use crate::subject::{Algo, GroundTruth, Runtime, Subject};
 
 /// An invariant violation observed on one trial.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -66,7 +72,8 @@ pub enum Violation {
     /// The message-conservation identity
     /// `total == sent − dropped + duplicated + retransmitted` broke.
     ConservationBroken,
-    /// Re-running the identical config produced a different run.
+    /// Re-running the identical config on another runtime produced a
+    /// different run.
     ReplayDivergence,
     /// The solver or runtime returned an error instead of a report.
     Failure {
@@ -165,12 +172,6 @@ pub struct CampaignConfig {
     pub max_nudges: u64,
     /// Whether to delta-debug failing schedules.
     pub minimize: bool,
-    /// Worker threads for the M:N sharded executor; `0` keeps trials on
-    /// the single-threaded virtual executor. Because the sharded
-    /// executor is bit-identical to the virtual one, every oracle —
-    /// including replay determinism and scripted minimization —
-    /// applies unchanged.
-    pub workers: usize,
 }
 
 impl CampaignConfig {
@@ -185,7 +186,6 @@ impl CampaignConfig {
             max_ticks: 200_000,
             max_nudges: 200,
             minimize: true,
-            workers: 0,
         }
     }
 }
@@ -343,6 +343,46 @@ pub fn minimize_finding(
     }))
 }
 
+/// The runtime a trial's replay runs on: even trials go to the sharded
+/// executor, cycling through 1–4 workers, odd trials to a service
+/// session.
+fn replay_runtime(trial: u64) -> Runtime {
+    if trial.is_multiple_of(2) {
+        Runtime::Sharded(1 + (trial / 2 % 4) as usize)
+    } else {
+        Runtime::Service
+    }
+}
+
+/// Whether two reports describe the same run: every field equal, the
+/// traces event for event except for the `RunEnd` runtime stamp.
+fn same_run(a: &VirtualReport, b: &VirtualReport) -> bool {
+    let same_event = |x: &TraceEvent, y: &TraceEvent| match (x, y) {
+        (
+            TraceEvent::RunEnd {
+                cycle,
+                in_flight,
+                metrics,
+                ..
+            },
+            TraceEvent::RunEnd {
+                cycle: other_cycle,
+                in_flight: other_in_flight,
+                metrics: other_metrics,
+                ..
+            },
+        ) => cycle == other_cycle && in_flight == other_in_flight && metrics == other_metrics,
+        _ => x == y,
+    };
+    a.outcome == b.outcome
+        && a.ticks == b.ticks
+        && a.activations == b.activations
+        && a.nudges == b.nudges
+        && a.fault_log == b.fault_log
+        && a.trace.len() == b.trace.len()
+        && a.trace.iter().zip(&b.trace).all(|(x, y)| same_event(x, y))
+}
+
 /// Runs one trial and returns its finding, if it failed.
 fn run_trial(config: &CampaignConfig, trial: u64) -> Result<Option<Finding>, String> {
     let grid = policy_grid();
@@ -355,8 +395,7 @@ fn run_trial(config: &CampaignConfig, trial: u64) -> Result<Option<Finding>, Str
         Subject::k4(config.algo)?
     } else {
         Subject::coloring(config.algo, config.agents, instance_seed)?
-    }
-    .on_sharded(config.workers);
+    };
     let max_ticks = if subject.truth == GroundTruth::Insoluble && !subject.complete {
         config.max_ticks.min(INSOLUBLE_TICK_CAP)
     } else {
@@ -389,16 +428,11 @@ fn run_trial(config: &CampaignConfig, trial: u64) -> Result<Option<Finding>, Str
 
     let mut found = violations(&subject, &vconfig, &report);
 
-    // Determinism oracle: the identical config must replay bit for bit.
-    match subject.run(&vconfig) {
+    // Determinism oracle: the identical config must replay bit for bit
+    // on another runtime.
+    match subject.run_on(replay_runtime(trial), &vconfig) {
         Ok(second) => {
-            let same = second.outcome == report.outcome
-                && second.ticks == report.ticks
-                && second.activations == report.activations
-                && second.nudges == report.nudges
-                && second.trace == report.trace
-                && second.fault_log == report.fault_log;
-            if !same {
+            if !same_run(&report, &second) {
                 found.push(Violation::ReplayDivergence);
             }
         }
@@ -576,25 +610,52 @@ mod tests {
     }
 
     #[test]
-    fn sharded_campaign_is_clean_and_replays_like_the_virtual_one() {
-        // The campaign smoke for the M:N executor: the same trials must
-        // pass every oracle (including the bit-replay determinism check,
-        // which now replays *sharded* runs) and raise exactly the same
-        // findings as the virtual executor — none.
-        let base = CampaignConfig {
+    fn cross_runtime_campaign_is_clean() {
+        // Twenty trials replay on the sharded executor with 1-4 workers
+        // and on service sessions; every replay must match its virtual
+        // run exactly.
+        let config = CampaignConfig {
             trials: 20,
             minimize: false,
             ..CampaignConfig::new(Algo::AwcRslv)
         };
-        let virtual_report = run_campaign(&base).unwrap();
-        assert!(virtual_report.clean(), "{:?}", virtual_report.findings);
-        let sharded = CampaignConfig {
-            workers: 4,
-            ..base
+        let report = run_campaign(&config).unwrap();
+        assert!(report.clean(), "{:?}", report.findings);
+        assert_eq!(report.trials_run, 20);
+    }
+
+    #[test]
+    fn replays_alternate_between_shards_and_service() {
+        let runtimes: Vec<_> = (0..8).map(replay_runtime).collect();
+        assert_eq!(
+            runtimes,
+            vec![
+                Runtime::Sharded(1),
+                Runtime::Service,
+                Runtime::Sharded(2),
+                Runtime::Service,
+                Runtime::Sharded(3),
+                Runtime::Service,
+                Runtime::Sharded(4),
+                Runtime::Service,
+            ]
+        );
+    }
+
+    #[test]
+    fn a_changed_runtime_stamp_is_the_same_run_but_a_changed_event_is_not() {
+        let subject = Subject::coloring(Algo::AwcRslv, 10, 5).unwrap();
+        let config = VirtualConfig {
+            record_trace: true,
+            ..VirtualConfig::default()
         };
-        let sharded_report = run_campaign(&sharded).unwrap();
-        assert!(sharded_report.clean(), "{:?}", sharded_report.findings);
-        assert_eq!(sharded_report.trials_run, virtual_report.trials_run);
+        let virt = subject.run(&config).unwrap();
+        let service = subject.run_on(Runtime::Service, &config).unwrap();
+        assert_ne!(virt.trace, service.trace, "the RunEnd stamps differ");
+        assert!(same_run(&virt, &service));
+        let mut tampered = service.clone();
+        tampered.trace.swap(0, 1);
+        assert!(!same_run(&virt, &tampered));
     }
 
     #[test]

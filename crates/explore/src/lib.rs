@@ -9,7 +9,8 @@
 //!   independent oracle families (trace audit with the
 //!   message-conservation identity split out, answer checks against a
 //!   centralized [`Backtracker`](discsp_cspsolve::Backtracker) ground
-//!   truth, quiescence/deadlock detection, and bit-exact replay);
+//!   truth, quiescence/deadlock detection, and bit-exact replay on a
+//!   second runtime — the sharded executor or a service session);
 //! * [`minimize`] — delta-debugs a failing run's recorded fault log
 //!   (every lottery run emits one, replayable as a script) down to a
 //!   1-minimal fault set that still shows the same violation class;
@@ -39,7 +40,7 @@ pub use campaign::{
 };
 pub use minimize::{ddmin, MinimizeOutcome};
 pub use repro::Repro;
-pub use subject::{Algo, GroundTruth, Instance, Subject};
+pub use subject::{Algo, GroundTruth, Instance, Runtime, Subject};
 
 #[doc(hidden)]
 pub use subject::Sabotage;

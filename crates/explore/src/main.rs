@@ -23,11 +23,10 @@ struct Args {
     agents: u32,
     out: Option<PathBuf>,
     minimize: bool,
-    workers: usize,
 }
 
 const USAGE: &str = "usage: discsp-explore --algo <awc|awc-rslv|dba|all> [--trials N] \
-                     [--seed S] [--agents N] [--out DIR] [--no-minimize] [--sharded W]";
+                     [--seed S] [--agents N] [--out DIR] [--no-minimize]";
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
@@ -37,7 +36,6 @@ fn parse_args() -> Result<Args, String> {
         agents: 10,
         out: None,
         minimize: true,
-        workers: 0,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -67,10 +65,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--out" => args.out = Some(PathBuf::from(value("--out")?)),
             "--no-minimize" => args.minimize = false,
-            "--sharded" => {
-                let v = value("--sharded")?;
-                args.workers = v.parse().map_err(|_| format!("bad --sharded `{v}`"))?;
-            }
             "--help" | "-h" => return Err(USAGE.to_string()),
             other => return Err(format!("unknown flag `{other}`\n{USAGE}")),
         }
@@ -97,19 +91,11 @@ fn main() -> ExitCode {
             master_seed: args.seed,
             agents: args.agents,
             minimize: args.minimize,
-            workers: args.workers,
             ..CampaignConfig::new(algo)
         };
         println!(
-            "campaign: algo={algo} trials={} seed={} agents={} executor={}",
-            config.trials,
-            config.master_seed,
-            config.agents,
-            if config.workers > 0 {
-                format!("sharded({})", config.workers)
-            } else {
-                "virtual".to_string()
-            }
+            "campaign: algo={algo} trials={} seed={} agents={}",
+            config.trials, config.master_seed, config.agents,
         );
         let report = match run_campaign(&config) {
             Ok(r) => r,

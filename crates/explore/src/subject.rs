@@ -11,8 +11,10 @@ use discsp_awc::{AwcConfig, AwcSolver};
 use discsp_core::{Assignment, DistributedCsp, Domain, Value};
 use discsp_cspsolve::{Backtracker, SolveResult};
 use discsp_dba::DbaSolver;
+use discsp_net::AlgoSpec;
 use discsp_probgen::{coloring_to_discsp, paper_coloring};
 use discsp_runtime::{ShardConfig, TraceEvent, VirtualConfig, VirtualReport};
+use discsp_service::{build_pump, SessionPoll, SessionSpec};
 
 /// Node budget for the centralized ground-truth solver. The campaign
 /// instances are small (tens of variables), so the backtracker settles
@@ -106,6 +108,20 @@ pub enum Sabotage {
     UnderreportDuplicates,
 }
 
+/// The runtimes a subject can run on. Each is a thin adapter over the
+/// same wave engine, so a report must not depend on which one produced
+/// it, up to the `RunEnd` runtime stamp.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Runtime {
+    /// `solve_virtual`: in process, single-threaded.
+    Virtual,
+    /// `solve_sharded` on this many worker threads.
+    Sharded(usize),
+    /// A solve-service session polled to completion with an unbounded
+    /// in-flight budget.
+    Service,
+}
+
 /// An algorithm deployed on an instance, ready to run under any
 /// [`VirtualConfig`].
 #[derive(Debug, Clone)]
@@ -123,11 +139,6 @@ pub struct Subject {
     /// Whether the deployed configuration is complete: a cutoff under a
     /// generous budget on a solvable instance is then a violation.
     pub complete: bool,
-    /// Worker threads for the sharded executor; `0` keeps runs on the
-    /// single-threaded virtual executor. Either way the run is a pure
-    /// function of the config — the sharded executor is bit-identical to
-    /// the virtual one — so the campaign's oracles apply unchanged.
-    pub workers: usize,
     sabotage: Sabotage,
 }
 
@@ -191,16 +202,8 @@ impl Subject {
             init,
             truth,
             complete,
-            workers: 0,
             sabotage: Sabotage::None,
         })
-    }
-
-    /// Moves the subject's runs onto the M:N sharded executor with
-    /// `workers` threads; `0` restores the virtual executor.
-    pub fn on_sharded(mut self, workers: usize) -> Subject {
-        self.workers = workers;
-        self
     }
 
     /// Arms a test-only corruption (see [`Sabotage`]). Campaign code
@@ -211,39 +214,54 @@ impl Subject {
         self
     }
 
-    /// Runs the subject once — on the virtual executor, or on the
-    /// sharded executor when [`Subject::on_sharded`] armed a worker
-    /// count.
+    /// Runs the subject once on the virtual executor.
     ///
     /// # Errors
     ///
     /// Propagates solver-construction and runtime failures as strings.
     pub fn run(&self, config: &VirtualConfig) -> Result<VirtualReport, String> {
-        let mut report = if self.workers > 0 {
-            let sharded = ShardConfig::with_base(config.clone(), self.workers);
-            match self.algo {
-                Algo::Awc => AwcSolver::new(AwcConfig::no_learning())
-                    .solve_sharded(&self.problem, &self.init, &sharded)
-                    .map_err(|e| e.to_string())?,
-                Algo::AwcRslv => AwcSolver::new(AwcConfig::resolvent())
-                    .solve_sharded(&self.problem, &self.init, &sharded)
-                    .map_err(|e| e.to_string())?,
-                Algo::Dba => DbaSolver::new()
-                    .solve_sharded(&self.problem, &self.init, &sharded)
-                    .map_err(|e| e.to_string())?,
+        self.run_on(Runtime::Virtual, config)
+    }
+
+    /// Runs the subject once on `runtime`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates solver-construction and runtime failures as strings.
+    pub fn run_on(&self, runtime: Runtime, config: &VirtualConfig) -> Result<VirtualReport, String> {
+        let algo = match self.algo {
+            Algo::Awc => AlgoSpec::Awc(AwcConfig::no_learning()),
+            Algo::AwcRslv => AlgoSpec::Awc(AwcConfig::resolvent()),
+            Algo::Dba => AlgoSpec::Dba(DbaSolver::new().mode()),
+        };
+        let (problem, init) = (&self.problem, &self.init);
+        let mut report = match (runtime, algo) {
+            (Runtime::Service, algo) => {
+                let spec = SessionSpec {
+                    problem: problem.clone(),
+                    init: init.clone(),
+                    algo,
+                    config: config.clone(),
+                };
+                let mut pump = build_pump(&spec, u64::MAX).map_err(|e| e.to_string())?;
+                while pump.poll().map_err(|e| e.to_string())? == SessionPoll::Running {}
+                pump.take_report()
+                    .ok_or_else(|| "a finished session has no report".to_string())?
             }
-        } else {
-            match self.algo {
-                Algo::Awc => AwcSolver::new(AwcConfig::no_learning())
-                    .solve_virtual(&self.problem, &self.init, config)
-                    .map_err(|e| e.to_string())?,
-                Algo::AwcRslv => AwcSolver::new(AwcConfig::resolvent())
-                    .solve_virtual(&self.problem, &self.init, config)
-                    .map_err(|e| e.to_string())?,
-                Algo::Dba => DbaSolver::new()
-                    .solve_virtual(&self.problem, &self.init, config)
-                    .map_err(|e| e.to_string())?,
-            }
+            (Runtime::Virtual, AlgoSpec::Awc(awc)) => AwcSolver::new(awc)
+                .solve_virtual(problem, init, config)
+                .map_err(|e| e.to_string())?,
+            (Runtime::Virtual, AlgoSpec::Dba(mode)) => DbaSolver::new()
+                .weight_mode(mode)
+                .solve_virtual(problem, init, config)
+                .map_err(|e| e.to_string())?,
+            (Runtime::Sharded(workers), AlgoSpec::Awc(awc)) => AwcSolver::new(awc)
+                .solve_sharded(problem, init, &ShardConfig::with_base(config.clone(), workers))
+                .map_err(|e| e.to_string())?,
+            (Runtime::Sharded(workers), AlgoSpec::Dba(mode)) => DbaSolver::new()
+                .weight_mode(mode)
+                .solve_sharded(problem, init, &ShardConfig::with_base(config.clone(), workers))
+                .map_err(|e| e.to_string())?,
         };
         if self.sabotage == Sabotage::UnderreportDuplicates {
             underreport_duplicates(&mut report);
@@ -302,6 +320,26 @@ mod tests {
                 Termination::Solved,
                 "{algo}"
             );
+        }
+    }
+
+    #[test]
+    fn every_runtime_reports_the_same_run() {
+        let config = VirtualConfig {
+            seed: 4,
+            link: LinkPolicy::lossy(150_000).with_duplication(100_000).with_delay(0, 2),
+            record_trace: true,
+            ..VirtualConfig::default()
+        };
+        for algo in Algo::all() {
+            let s = Subject::coloring(algo, 10, 6).unwrap();
+            let reference = s.run(&config).unwrap();
+            for runtime in [Runtime::Sharded(1), Runtime::Sharded(3), Runtime::Service] {
+                let other = s.run_on(runtime, &config).unwrap();
+                assert_eq!(other.outcome, reference.outcome, "{algo} on {runtime:?}");
+                assert_eq!(other.fault_log, reference.fault_log, "{algo} on {runtime:?}");
+                assert_eq!(other.trace.len(), reference.trace.len(), "{algo} on {runtime:?}");
+            }
         }
     }
 

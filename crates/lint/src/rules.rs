@@ -135,18 +135,6 @@ impl Rule {
     }
 }
 
-/// Maps a workspace-relative path to the rules that apply to it.
-///
-/// Test directories never reach this function (the walker skips them);
-/// `#[cfg(test)]` modules inside scoped files are skipped token-wise.
-/// Files exempt from D2 *by name*: the link layer owns the virtual-tick
-/// clock (`u64` ticks drawn from seeded streams) that is the sanctioned
-/// replacement for wall time, so a wall-clock identifier there would be
-/// caught in review, not by the linter. A named exemption keeps the scope
-/// auditable — unlike blanket `allow` annotations, which rule A0 would
-/// also have to police line by line.
-pub const D2_EXEMPT_VIRTUAL_CLOCK: &[&str] = &["crates/runtime/src/link.rs"];
-
 /// Files exempt from D2 by name in the network transport: socket
 /// plumbing legitimately needs wall-clock deadlines (handshake accept
 /// windows, connect backoff) — everything above it in `discsp-net`
@@ -164,6 +152,13 @@ pub const D2_EXEMPT_SERVICE_REALTIME: &[&str] = &[
     "crates/service/src/main.rs",
 ];
 
+/// Maps a workspace-relative path to the rules that apply to it.
+///
+/// Test directories never reach this function (the walker skips them);
+/// `#[cfg(test)]` modules inside scoped files are skipped token-wise.
+/// The D2 exemptions are *named* files, which keeps their scope
+/// auditable — unlike blanket `allow` annotations, which rule A0 would
+/// also have to police line by line.
 pub fn rules_for(rel_path: &str) -> Vec<Rule> {
     let p = rel_path.replace('\\', "/");
     let in_any = |prefixes: &[&str]| prefixes.iter().any(|pre| p.starts_with(pre));
@@ -194,8 +189,7 @@ pub fn rules_for(rel_path: &str) -> Vec<Rule> {
         "crates/service/src/",
         "crates/bench/src/",
         "crates/explore/src/",
-    ]) && !D2_EXEMPT_VIRTUAL_CLOCK.contains(&p.as_str())
-        && !D2_EXEMPT_NET_TRANSPORT.contains(&p.as_str())
+    ]) && !D2_EXEMPT_NET_TRANSPORT.contains(&p.as_str())
         && !D2_EXEMPT_SERVICE_REALTIME.contains(&p.as_str())
     {
         rules.push(Rule::D2);
@@ -972,14 +966,13 @@ mod tests {
     }
 
     #[test]
-    fn link_layer_is_exempt_from_d2_by_name_only() {
-        // The virtual-tick clock lives in link.rs: D2 is lifted there —
-        // and only there — while determinism and panic-safety still apply.
-        assert_eq!(
-            rules_for("crates/runtime/src/link.rs"),
-            vec![Rule::D1, Rule::P1]
-        );
-        assert!(rules_for("crates/runtime/src/asynchronous.rs").contains(&Rule::D2));
+    fn link_layer_is_policed_by_d2() {
+        // The virtual tick needs no wall-clock exemption: link.rs and the
+        // wave engine get the full runtime rule set.
+        for policed in ["link.rs", "engine.rs", "asynchronous.rs"] {
+            let path = format!("crates/runtime/src/{policed}");
+            assert_eq!(rules_for(&path), vec![Rule::D1, Rule::D2, Rule::P1], "{path}");
+        }
     }
 
     #[test]

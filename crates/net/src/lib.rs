@@ -47,7 +47,7 @@ mod solve;
 mod topology;
 mod transport;
 
-pub use coordinator::{run_session, NetReport};
+pub use coordinator::run_session;
 pub use endpoint::run_agent;
 pub use frame::{
     Mux, MuxWire, RunFrame, SetupFrame, MAX_FRAME_LEN, MIN_WIRE_VERSION, SESSION_NONE,
@@ -80,8 +80,8 @@ pub struct NetConfig {
     pub stop_on_first_solution: bool,
     /// Record the session's event trace: the router's link-level events
     /// on the coordinator plus each endpoint's per-step events (shipped
-    /// home in `Final` frames), merged into
-    /// [`NetReport::trace`](crate::NetReport).
+    /// home in `Final` frames), merged and canonically sorted into the
+    /// report's trace.
     pub record_trace: bool,
     /// How long the coordinator waits for all agents to connect and
     /// complete the handshake.

@@ -14,9 +14,9 @@ use std::thread;
 use discsp_awc::{AwcMessage, AwcSolver};
 use discsp_core::{Assignment, DistributedCsp, Wire};
 use discsp_dba::{DbaMessage, DbaSolver};
-use discsp_runtime::Classify;
+use discsp_runtime::{Classify, VirtualReport};
 
-use crate::coordinator::{run_session, NetReport};
+use crate::coordinator::run_session;
 use crate::endpoint::run_agent;
 use crate::topology::{build_slices, AgentSlice, AlgoSpec};
 use crate::{NetConfig, NetError};
@@ -54,7 +54,7 @@ pub trait SolveNet {
         init: &Assignment,
         config: &NetConfig,
         launch: &AgentLaunch,
-    ) -> Result<NetReport, NetError>;
+    ) -> Result<VirtualReport, NetError>;
 }
 
 impl SolveNet for AwcSolver {
@@ -64,7 +64,7 @@ impl SolveNet for AwcSolver {
         init: &Assignment,
         config: &NetConfig,
         launch: &AgentLaunch,
-    ) -> Result<NetReport, NetError> {
+    ) -> Result<VirtualReport, NetError> {
         let slices = build_slices(problem, init, AlgoSpec::Awc(self.config()))?;
         run::<AwcMessage>(problem, &slices, config, launch)
     }
@@ -77,7 +77,7 @@ impl SolveNet for DbaSolver {
         init: &Assignment,
         config: &NetConfig,
         launch: &AgentLaunch,
-    ) -> Result<NetReport, NetError> {
+    ) -> Result<VirtualReport, NetError> {
         let slices = build_slices(problem, init, AlgoSpec::Dba(self.mode()))?;
         // Distributed breakout never quiesces; terminate at the first
         // consistent solution snapshot, as the other runtimes do.
@@ -96,7 +96,7 @@ fn run<M>(
     slices: &[AgentSlice],
     config: &NetConfig,
     launch: &AgentLaunch,
-) -> Result<NetReport, NetError>
+) -> Result<VirtualReport, NetError>
 where
     M: Wire + Classify + Clone,
 {

@@ -1,6 +1,6 @@
 //! The agent abstraction shared by both runtimes.
 
-use discsp_core::{AgentId, VarValue};
+use discsp_core::{AgentId, RunMetrics, VarValue};
 use serde::{Deserialize, Serialize};
 
 use crate::message::{Classify, Envelope, MessageClass};
@@ -104,6 +104,21 @@ impl AgentStats {
         self.messages_reordered += other.messages_reordered;
         self.messages_retransmitted += other.messages_retransmitted;
         self.max_delivery_delay = self.max_delivery_delay.max(other.max_delivery_delay);
+    }
+
+    /// Writes these totals into the matching [`RunMetrics`] fields: the
+    /// teardown step every runtime ends with, once the agents' and the
+    /// links' statistics have been absorbed into one record.
+    pub fn fold_into_metrics(&self, metrics: &mut RunMetrics) {
+        metrics.nogoods_generated = self.nogoods_generated;
+        metrics.redundant_nogoods = self.redundant_nogoods;
+        metrics.largest_nogood = self.largest_nogood;
+        metrics.messages_sent = self.messages_sent;
+        metrics.messages_dropped = self.messages_dropped;
+        metrics.messages_duplicated = self.messages_duplicated;
+        metrics.messages_reordered = self.messages_reordered;
+        metrics.messages_retransmitted = self.messages_retransmitted;
+        metrics.max_delivery_delay = self.max_delivery_delay;
     }
 }
 

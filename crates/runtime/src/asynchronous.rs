@@ -40,6 +40,7 @@ use discsp_trace::{canonical_sort, FaultKind, RingBuffer, RuntimeKind, TraceEven
 use parking_lot::Mutex;
 
 use crate::agent::{AgentStats, DistributedAgent, Outbox};
+use crate::engine::check_dense_ids;
 use crate::error::RuntimeError;
 use crate::link::{derive_link_seed, Link, LinkPolicy, LinkStats};
 use crate::message::{Classify, Envelope, MessageClass};
@@ -248,14 +249,7 @@ pub fn run_async<A>(
 where
     A: DistributedAgent + Send + 'static,
 {
-    for (position, agent) in agents.iter().enumerate() {
-        if agent.id().index() != position {
-            return Err(RuntimeError::NonDenseAgentIds {
-                position,
-                found: agent.id(),
-            });
-        }
-    }
+    check_dense_ids(&agents)?;
     let n = agents.len();
     let shared = Arc::new(Shared {
         in_flight: AtomicI64::new(0),
@@ -453,15 +447,7 @@ where
     metrics.ok_messages = shared.ok_messages.load(Ordering::SeqCst);
     metrics.nogood_messages = shared.nogood_messages.load(Ordering::SeqCst);
     metrics.other_messages = shared.other_messages.load(Ordering::SeqCst);
-    metrics.nogoods_generated = agent_stats.nogoods_generated;
-    metrics.redundant_nogoods = agent_stats.redundant_nogoods;
-    metrics.largest_nogood = agent_stats.largest_nogood;
-    metrics.messages_sent = agent_stats.messages_sent;
-    metrics.messages_dropped = agent_stats.messages_dropped;
-    metrics.messages_duplicated = agent_stats.messages_duplicated;
-    metrics.messages_reordered = agent_stats.messages_reordered;
-    metrics.messages_retransmitted = agent_stats.messages_retransmitted;
-    metrics.max_delivery_delay = agent_stats.max_delivery_delay;
+    agent_stats.fold_into_metrics(&mut metrics);
 
     let solution = if termination == Termination::Solved {
         Some(shared.snapshot.lock().clone())

@@ -16,6 +16,11 @@
 //!   fixed pool of worker threads owning slab-pooled per-shard arenas.
 //!   Bit-identical to `run_virtual` for any worker count.
 //!
+//! `run_virtual`, `run_sharded`, the solve service's sessions and the
+//! networked coordinator are adapters over one resumable [`WaveEngine`]
+//! with different [`Activate`] backends, so they share every line of
+//! wave accounting, termination and teardown.
+//!
 //! The [`link`](crate::Link) layer injects seeded drop, duplication,
 //! delay, and reordering faults into either runtime's traffic, with
 //! per-link [`SplitMix64`] streams derived from the run seed
@@ -34,6 +39,7 @@
 
 mod agent;
 mod asynchronous;
+mod engine;
 mod error;
 mod link;
 mod message;
@@ -54,6 +60,7 @@ pub use discsp_trace::{
     canonical_sort, render_trace, FaultKind, NullSink, RingBuffer, RuntimeKind, TraceEvent,
     TraceSink,
 };
+pub use engine::{Activate, Direct, InProcess, RouteHook, Steps, Teardown, Wave, WaveEngine};
 pub use error::RuntimeError;
 pub use link::{
     derive_link_seed, run_virtual, Copies, Link, LinkPolicy, LinkStats, RouteDecision, VirtualConfig,

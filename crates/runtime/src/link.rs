@@ -12,11 +12,9 @@
 //! `(seed, policy)` — no wall clock, no OS entropy.
 //!
 //! Time here is a `u64` **virtual tick**, never `std::time::Instant`: the
-//! synchronous-style executor ([`run_virtual`]) advances ticks as the
-//! event queue drains, and the threaded runtime advances a shared atomic
-//! tick from its observer loop. That is why this file is exempted from
-//! `discsp-lint` rule D2 *by name* in `crates/lint/src/rules.rs` — the
-//! tick arithmetic below is the sanctioned replacement for wall time.
+//! wave engine behind [`run_virtual`] advances ticks as the event queue
+//! drains, and the threaded runtime advances a shared atomic tick from
+//! its observer loop.
 //!
 //! Dropped messages are not lost forever: real DisCSP correctness proofs
 //! assume eventual delivery (finite but arbitrary delay), so the link
@@ -27,17 +25,14 @@
 
 use std::collections::BTreeMap;
 
-use discsp_core::{
-    AgentId, Assignment, DistributedCsp, RunMetrics, Termination, TrialOutcome,
-};
+use discsp_core::{AgentId, DistributedCsp, TrialOutcome};
 use serde::{Deserialize, Serialize};
 
-use discsp_trace::{FaultKind, RuntimeKind, TraceEvent, TraceSink};
+use discsp_trace::{FaultKind, RuntimeKind, TraceEvent};
 
-use crate::agent::{AgentStats, DistributedAgent, Outbox};
+use crate::agent::{AgentStats, DistributedAgent};
+use crate::engine::{Direct, InProcess, WaveEngine};
 use crate::error::RuntimeError;
-use crate::recorder::StepRecorder;
-use crate::router::Router;
 use crate::schedule::{FaultAction, FaultSchedule};
 use crate::seed::SplitMix64;
 
@@ -554,204 +549,23 @@ pub struct VirtualReport {
 /// [`RuntimeError::UnknownRecipient`] when a message addresses an agent
 /// outside the population.
 pub fn run_virtual<A>(
-    mut agents: Vec<A>,
+    agents: Vec<A>,
     problem: &DistributedCsp,
     config: &VirtualConfig,
 ) -> Result<VirtualReport, RuntimeError>
 where
     A: DistributedAgent,
 {
-    for (position, agent) in agents.iter().enumerate() {
-        if agent.id().index() != position {
-            return Err(RuntimeError::NonDenseAgentIds {
-                position,
-                found: agent.id(),
-            });
-        }
-    }
-    let n = agents.len();
-    let mut net: Router<A::Message> = match &config.schedule {
-        Some(schedule) => Router::scripted(n, schedule, config.seed, config.record_trace),
-        None => Router::new(n, config.link, config.seed, config.record_trace),
-    };
-    let mut recorder = StepRecorder::new();
-
-    let mut metrics = RunMetrics::new(Termination::CutOff);
-    let mut snapshot = Assignment::empty(problem.num_vars());
-    let mut activations: u64 = 0;
-    let mut nudges: u64 = 0;
-    let mut tick: u64 = 0;
-    let termination;
-
-    // Tick 0: every agent announces its initial state. This is the first
-    // maxcck wave — the same accounting as the net coordinator's start
-    // wave, so the two runtimes report identical maxcck for identical
-    // traffic.
-    let mut start_max: u64 = 0;
-    for agent in agents.iter_mut() {
-        let mut out = Outbox::new(agent.id());
-        agent.on_start(&mut out);
-        activations += 1;
-        let checks = agent.take_checks();
-        metrics.total_checks += checks;
-        start_max = start_max.max(checks);
-        recorder.record_step(agent, 0, checks, net.sink());
-        for env in out.drain() {
-            net.route(0, env)?;
-        }
-    }
-    metrics.maxcck += start_max;
-    net.sink().record(TraceEvent::CycleBarrier { cycle: 0 });
-    let mut insoluble = agents.iter().any(|a| a.detected_insoluble());
-    for agent in agents.iter() {
-        for vv in agent.assignments() {
-            snapshot.set(vv.var, vv.value);
-        }
-    }
-
-    loop {
-        if insoluble {
-            termination = Termination::Insoluble;
-            break;
-        }
-        if config.stop_on_first_solution && problem.is_solution(&snapshot) {
-            termination = Termination::Solved;
-            break;
-        }
-        let Some(due) = net.next_due() else {
-            // Quiescent: the queue is the in-flight set, so this snapshot
-            // is stable unless the recovery pass injects new traffic.
-            if problem.is_solution(&snapshot) {
-                termination = Termination::Solved;
-                break;
-            }
-            // Recovery is not gated on the fault policy: a protocol can
-            // park itself without losing a message (AWC's repeated-nogood
-            // rule silences a deadended agent), so perfect links get the
-            // same bounded nudge treatment.
-            if nudges >= config.max_nudges {
-                termination = Termination::CutOff;
-                break;
-            }
-            nudges += 1;
-            tick += 1;
-            net.flush_parked(tick);
-            let mut wave_max: u64 = 0;
-            for agent in agents.iter_mut() {
-                let mut out = Outbox::new(agent.id());
-                agent.on_nudge(&mut out);
-                let checks = agent.take_checks();
-                metrics.total_checks += checks;
-                wave_max = wave_max.max(checks);
-                recorder.record_step(agent, tick, checks, net.sink());
-                for env in out.drain() {
-                    net.route(tick, env)?;
-                }
-            }
-            metrics.maxcck += wave_max;
-            net.sink().record(TraceEvent::CycleBarrier { cycle: tick });
-            if net.is_quiescent() {
-                // Nothing to retransmit and nobody re-announced: the
-                // stall is permanent.
-                termination = Termination::CutOff;
-                break;
-            }
-            continue;
-        };
-        if due > config.max_ticks {
-            termination = Termination::CutOff;
-            break;
-        }
-        tick = tick.max(due);
-
-        // Deliver every message due this tick, batched per recipient in
-        // ascending recipient order. The wave is one maxcck accounting
-        // unit, closed by a cycle barrier.
-        let mut wave_max: u64 = 0;
-        for (recipient, inbox) in net.take_due(due, tick) {
-            let Some(agent) = agents.get_mut(recipient) else {
-                continue;
-            };
-            let mut out = Outbox::new(agent.id());
-            agent.on_batch(inbox, &mut out);
-            activations += 1;
-            let checks = agent.take_checks();
-            metrics.total_checks += checks;
-            wave_max = wave_max.max(checks);
-            for vv in agent.assignments() {
-                snapshot.set(vv.var, vv.value);
-            }
-            insoluble |= agent.detected_insoluble();
-            recorder.record_step(agent, tick, checks, net.sink());
-            for env in out.drain() {
-                net.route(tick, env)?;
-            }
-        }
-        metrics.maxcck += wave_max;
-        net.sink().record(TraceEvent::CycleBarrier { cycle: tick });
-    }
-
-    metrics.termination = termination;
-    metrics.cycles = tick;
-    let (ok, nogood, other) = net.class_counts();
-    metrics.ok_messages = ok;
-    metrics.nogood_messages = nogood;
-    metrics.other_messages = other;
-    let mut stats = AgentStats::default();
-    for agent in agents.iter_mut() {
-        // Per-step draining leaves this at zero for well-behaved agents;
-        // if an agent did checks outside an activation, surface them as
-        // a final step so the trace still sums to `total_checks`.
-        let leftover = agent.take_checks();
-        if leftover > 0 {
-            metrics.total_checks += leftover;
-            net.sink().record(TraceEvent::AgentStep {
-                cycle: tick,
-                agent: agent.id(),
-                checks: leftover,
-            });
-        }
-        stats.absorb(agent.stats());
-    }
-    net.link_totals().fold_into(&mut stats);
-    metrics.nogoods_generated = stats.nogoods_generated;
-    metrics.redundant_nogoods = stats.redundant_nogoods;
-    metrics.largest_nogood = stats.largest_nogood;
-    metrics.messages_sent = stats.messages_sent;
-    metrics.messages_dropped = stats.messages_dropped;
-    metrics.messages_duplicated = stats.messages_duplicated;
-    metrics.messages_reordered = stats.messages_reordered;
-    metrics.messages_retransmitted = stats.messages_retransmitted;
-    metrics.max_delivery_delay = stats.max_delivery_delay;
-
-    let in_flight = net.queued();
-    net.sink().record(TraceEvent::RunEnd {
-        cycle: metrics.cycles,
-        runtime: RuntimeKind::Virtual,
-        in_flight,
-        metrics: metrics.clone(),
-    });
-
-    let solution = if termination == Termination::Solved {
-        Some(snapshot)
-    } else {
-        None
-    };
-    Ok(VirtualReport {
-        outcome: TrialOutcome { metrics, solution },
-        ticks: tick,
-        activations,
-        nudges,
-        fault_log: net.fault_log(),
-        trace: net.take_trace(),
-    })
+    WaveEngine::new(InProcess::new(agents)?, Direct, problem, config, RuntimeKind::Virtual)
+        .run(problem)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::agent::Outbox;
     use crate::message::{Classify, Envelope, MessageClass};
-    use discsp_core::{Domain, Nogood, Value, VarValue, VariableId};
+    use discsp_core::{Domain, Nogood, Termination, Value, VarValue, VariableId};
 
     #[test]
     fn perfect_policy_routes_instantly_without_draws() {

@@ -1,6 +1,7 @@
-//! The deterministic message router shared by every deterministic
-//! executor: `run_virtual`, `run_sharded`, the service's session
-//! `Driver`, and the TCP coordinator.
+//! The deterministic message router owned by the wave engine, and so
+//! shared by every deterministic executor: `run_virtual`,
+//! `run_sharded`, the service's session `Driver`, and the TCP
+//! coordinator.
 //!
 //! [`Router`] owns the event queue, the lazily created [`Link`]s, the
 //! parked (dropped-message) recovery buffers, and the per-class message

@@ -1,52 +1,45 @@
-//! The M:N sharded event-loop executor: `run_virtual`'s semantics on
-//! worker threads.
+//! The M:N sharded executor: the wave engine's activations fanned out
+//! to worker threads.
 //!
 //! `run_async` spawns one OS thread per agent, which caps realistic runs
-//! at a few thousand agents. [`run_sharded`] keeps the deterministic
-//! virtual-time semantics of [`run_virtual`](crate::run_virtual) but
-//! executes agent activations on a fixed pool of worker threads: agents
-//! live in slab-pooled per-shard arenas ([`Slab`]), each worker owns one
-//! shard and drains its agents' mailbox batches, and all routing goes
-//! through the single [`Router`] owned by the coordinator.
+//! at a few thousand agents. [`run_sharded`] runs the population on a
+//! fixed pool of worker threads instead: agents live in slab-pooled
+//! per-shard arenas ([`Slab`]), each worker owns one shard and drains its
+//! agents' mailbox batches, and the [`WaveEngine`] on the calling thread
+//! drives the run with the pool as its activation backend — the same
+//! engine, router and wave accounting as [`run_virtual`](crate::run_virtual).
 //!
-//! **Why determinism survives M:N.** The coordinator runs the exact
-//! control flow of `run_virtual` — the same start wave, quiescence
-//! check, nudge recovery, tick bookkeeping, and cut-off rules. Each wave
-//! is partitioned across shards by the seed-derived [`ShardPlan`];
-//! workers return one buffered [`StepOutput`] per activated agent
-//! (checks, assignments, trace events, outbound envelopes), and the
-//! coordinator merges those outputs back in **ascending agent-id order**
-//! before any of them touch the router or the trace. Ascending agent id
-//! is precisely the order `run_virtual` activates agents in (its start
-//! and nudge waves iterate ids 0..n; its delivery wave iterates the
-//! inboxes `take_due` returns in ascending recipient id order) — so the
-//! router consumes every per-link fault stream in the same order, the
-//! trace interleaves identically, and the report is bit-identical to
-//! `run_virtual` for *any* worker count. The shard partition and each
-//! shard's internal drain order are themselves pure functions of the run
-//! seed, so even thread-interleaving-visible state (per-shard
-//! [`StepRecorder`] memories) is replayed exactly.
+//! **Why determinism survives M:N.** Each wave is partitioned across
+//! shards by the seed-derived [`ShardPlan`]; workers return one buffered
+//! [`StepOutput`] per activated agent (checks, assignments, trace events,
+//! outbound envelopes), and the pool hands those outputs to the engine in
+//! **ascending agent-id order**, the order every backend reports in. The
+//! router therefore consumes every per-link fault stream in the same
+//! order, the trace interleaves identically, and the report is
+//! bit-identical to `run_virtual` for *any* worker count. The shard
+//! partition and each shard's internal drain order are themselves pure
+//! functions of the run seed, so even per-shard [`StepRecorder`] memories
+//! replay exactly.
 //!
 //! Trace recording under shard batching stays per-agent-correct: every
 //! worker records through its own scratch [`RingBuffer`] and tags each
-//! event with the wave's tick passed down in the job — a batch that
-//! drains just before a nudge wave can never smear its events into the
-//! nudge's tick, because ticks travel with jobs, not with threads.
+//! event with the wave's tick passed down in the job — ticks travel with
+//! jobs, not with threads.
 
 use std::sync::mpsc::{channel, Receiver, Sender};
 
-use discsp_core::{
-    Assignment, DistributedCsp, RunMetrics, Termination, TrialOutcome, VarValue,
-};
+use discsp_core::{AgentId, DistributedCsp, VarValue};
 use discsp_trace::{RingBuffer, RuntimeKind, TraceEvent, TraceSink};
 
 use crate::agent::{AgentStats, DistributedAgent, Outbox};
+use crate::engine::{
+    check_dense_ids, Activate, Direct, RouteHook, Steps, Teardown, Wave, WaveEngine,
+};
 use crate::error::RuntimeError;
 use crate::link::{VirtualConfig, VirtualReport};
-use crate::message::Envelope;
+use crate::message::{Classify, Envelope};
 use crate::pool::{ShardPlan, Slab};
 use crate::recorder::StepRecorder;
-use crate::router::Router;
 
 /// Configuration of a sharded run: [`VirtualConfig`] semantics plus a
 /// worker count. The worker count is a pure throughput knob — metrics,
@@ -96,12 +89,12 @@ enum Job<M> {
         tick: u64,
         inboxes: SlotInboxes<M>,
     },
-    /// Drain final leftovers and report stats; the shard empties.
-    Finish { tick: u64 },
+    /// Report leftover checks and stats; the shard empties.
+    Finish,
 }
 
-/// The buffered result of one agent activation, merged id-sorted by the
-/// coordinator before touching the router or the trace.
+/// The buffered result of one agent activation, handed to the engine in
+/// agent-id order.
 struct StepOutput<M> {
     agent: u32,
     checks: u64,
@@ -133,7 +126,7 @@ impl<A: DistributedAgent> ShardWorker<A> {
                 Job::Start => self.wave(0, false),
                 Job::Nudge { tick } => self.wave(tick, true),
                 Job::Batch { tick, inboxes } => self.batch(tick, inboxes),
-                Job::Finish { tick } => self.finish(tick),
+                Job::Finish => self.finish(),
             };
             if replies.send(reply).is_err() {
                 return;
@@ -192,29 +185,20 @@ impl<A: DistributedAgent> ShardWorker<A> {
         outputs
     }
 
-    /// Removes every agent from the arena, surfacing leftover checks and
-    /// final stats (the end-of-run accounting `run_virtual` does inline).
-    fn finish(&mut self, tick: u64) -> Vec<StepOutput<A::Message>> {
+    /// Removes every agent from the arena, reporting its leftover checks
+    /// and final stats.
+    fn finish(&mut self) -> Vec<StepOutput<A::Message>> {
         let mut outputs = Vec::with_capacity(self.agents.len());
         for slot in 0..self.slots {
             let Some(mut agent) = self.agents.remove(slot) else {
                 continue;
             };
-            let leftover = agent.take_checks();
-            let mut events = Vec::new();
-            if leftover > 0 && self.scratch.enabled() {
-                events.push(TraceEvent::AgentStep {
-                    cycle: tick,
-                    agent: agent.id(),
-                    checks: leftover,
-                });
-            }
             outputs.push(StepOutput {
                 agent: agent.id().raw(),
-                checks: leftover,
+                checks: agent.take_checks(),
                 insoluble: false,
                 assignments: Vec::new(),
-                events,
+                events: Vec::new(),
                 outbox: Vec::new(),
                 stats: agent.stats(),
             });
@@ -225,7 +209,7 @@ impl<A: DistributedAgent> ShardWorker<A> {
 
 /// Shared post-activation bookkeeping: drain checks and notes, record
 /// the step through the shard's recorder into the scratch buffer, and
-/// package everything the coordinator needs.
+/// package everything the engine needs.
 fn finish_step<A: DistributedAgent>(
     recorder: &mut StepRecorder,
     scratch: &mut RingBuffer,
@@ -285,13 +269,77 @@ fn run_wave<M>(
     Ok(outputs)
 }
 
+/// The shard pool as a wave-engine backend.
+struct ShardPool<M> {
+    shards: Vec<ShardHandle<M>>,
+    plan: ShardPlan,
+    population: usize,
+}
+
+impl<M: Classify + Clone> Activate<M> for ShardPool<M> {
+    type Error = RuntimeError;
+
+    fn population(&self) -> usize {
+        self.population
+    }
+
+    fn activate<H: RouteHook<M>>(
+        &mut self,
+        wave: Wave<M>,
+        steps: &mut Steps<'_, M, H>,
+    ) -> Result<(), RuntimeError> {
+        let outputs = match wave {
+            Wave::Start => run_wave(&self.shards, |_| Some(Job::Start))?,
+            Wave::Nudge { tick } => run_wave(&self.shards, |_| Some(Job::Nudge { tick }))?,
+            Wave::Deliver { tick, inboxes } => {
+                // Partition the inboxes to their shards; each shard
+                // drains its batch in parallel with the others.
+                let mut per_shard: Vec<SlotInboxes<M>> =
+                    (0..self.shards.len()).map(|_| Vec::new()).collect();
+                for (recipient, inbox) in inboxes {
+                    let (shard, slot) = self.plan.placement_of(recipient);
+                    if let Some(bucket) = per_shard.get_mut(shard) {
+                        bucket.push((slot, inbox));
+                    }
+                }
+                run_wave(&self.shards, |index| match per_shard.get_mut(index) {
+                    Some(bucket) if !bucket.is_empty() => Some(Job::Batch {
+                        tick,
+                        inboxes: std::mem::take(bucket),
+                    }),
+                    _ => None,
+                })?
+            }
+        };
+        for output in outputs {
+            for event in output.events {
+                steps.sink().record(event);
+            }
+            steps.step(
+                output.checks,
+                output.assignments,
+                output.insoluble,
+                output.outbox,
+            )?;
+        }
+        Ok(())
+    }
+
+    fn finish(&mut self, end: &mut Teardown<'_>) -> Result<(), RuntimeError> {
+        for output in run_wave(&self.shards, |_| Some(Job::Finish))? {
+            end.agent(AgentId::new(output.agent), output.checks, output.stats);
+        }
+        Ok(())
+    }
+}
+
 /// Runs `agents` on the M:N sharded executor: `config.workers` threads,
-/// each owning a seed-derived shard of the population, reproducing
-/// [`run_virtual`](crate::run_virtual)'s deterministic virtual-time
-/// semantics bit for bit. Metrics, fault counters, the fault log, and
-/// the trace (up to the `RunEnd` runtime stamp) are identical to a
-/// `run_virtual` of the same `(agents, problem, config.base)` — and
-/// therefore identical across any two worker counts.
+/// each owning a seed-derived shard of the population, under the same
+/// [`WaveEngine`] as [`run_virtual`](crate::run_virtual). Metrics, fault
+/// counters, the fault log, and the trace (up to the `RunEnd` runtime
+/// stamp) are identical to a `run_virtual` of the same
+/// `(agents, problem, config.base)` — and therefore identical across any
+/// two worker counts.
 ///
 /// # Errors
 ///
@@ -308,21 +356,10 @@ pub fn run_sharded<A>(
 where
     A: DistributedAgent + Send,
 {
-    for (position, agent) in agents.iter().enumerate() {
-        if agent.id().index() != position {
-            return Err(RuntimeError::NonDenseAgentIds {
-                position,
-                found: agent.id(),
-            });
-        }
-    }
-    let n = agents.len();
+    check_dense_ids(&agents)?;
+    let population = agents.len();
     let base = &config.base;
-    let plan = ShardPlan::new(n, config.workers, base.seed);
-    let mut net: Router<A::Message> = match &base.schedule {
-        Some(schedule) => Router::scripted(n, schedule, base.seed, base.record_trace),
-        None => Router::new(n, base.link, base.seed, base.record_trace),
-    };
+    let plan = ShardPlan::new(population, config.workers, base.seed);
     // Deal the agents into per-shard slab arenas in plan (drain) order;
     // sequential insertion into an empty slab makes slot == drain rank.
     let mut by_id: Vec<Option<A>> = agents.into_iter().map(Some).collect();
@@ -360,183 +397,12 @@ where
                 replies: reply_rx,
             });
         }
-
-        let mut metrics = RunMetrics::new(Termination::CutOff);
-        let mut snapshot = Assignment::empty(problem.num_vars());
-        let mut activations: u64 = 0;
-        let mut nudges: u64 = 0;
-        let mut tick: u64 = 0;
-        let mut insoluble = false;
-        let termination;
-
-        // Tick 0: every agent announces its initial state — the same
-        // start-wave accounting as run_virtual.
-        let starts = run_wave(&shards, |_| Some(Job::Start))?;
-        let mut start_max: u64 = 0;
-        for output in starts {
-            activations += 1;
-            metrics.total_checks += output.checks;
-            start_max = start_max.max(output.checks);
-            insoluble |= output.insoluble;
-            for vv in output.assignments {
-                snapshot.set(vv.var, vv.value);
-            }
-            for event in output.events {
-                net.sink().record(event);
-            }
-            for env in output.outbox {
-                net.route(0, env)?;
-            }
-        }
-        metrics.maxcck += start_max;
-        net.sink().record(TraceEvent::CycleBarrier { cycle: 0 });
-
-        loop {
-            if insoluble {
-                termination = Termination::Insoluble;
-                break;
-            }
-            if base.stop_on_first_solution && problem.is_solution(&snapshot) {
-                termination = Termination::Solved;
-                break;
-            }
-            let Some(due) = net.next_due() else {
-                // Quiescent: the queue is the in-flight set. A fully
-                // parked system (every copy dropped) lands here too —
-                // that is a *recoverable* stall, answered by a
-                // retransmission flush plus a nudge wave, never a
-                // deadlock report.
-                if problem.is_solution(&snapshot) {
-                    termination = Termination::Solved;
-                    break;
-                }
-                // As in `run_virtual`: recovery is not gated on the
-                // fault policy, since a protocol can park itself
-                // without losing a message.
-                if nudges >= base.max_nudges {
-                    termination = Termination::CutOff;
-                    break;
-                }
-                nudges += 1;
-                tick += 1;
-                net.flush_parked(tick);
-                let wave = run_wave(&shards, |_| Some(Job::Nudge { tick }))?;
-                let mut wave_max: u64 = 0;
-                for output in wave {
-                    metrics.total_checks += output.checks;
-                    wave_max = wave_max.max(output.checks);
-                    for event in output.events {
-                        net.sink().record(event);
-                    }
-                    for env in output.outbox {
-                        net.route(tick, env)?;
-                    }
-                }
-                metrics.maxcck += wave_max;
-                net.sink().record(TraceEvent::CycleBarrier { cycle: tick });
-                if net.is_quiescent() {
-                    termination = Termination::CutOff;
-                    break;
-                }
-                continue;
-            };
-            if due > base.max_ticks {
-                termination = Termination::CutOff;
-                break;
-            }
-            tick = tick.max(due);
-
-            // Deliver every message due this tick: partition the inboxes
-            // to their shards, drain in parallel, merge id-sorted.
-            let mut per_shard: Vec<SlotInboxes<A::Message>> =
-                (0..shards.len()).map(|_| Vec::new()).collect();
-            for (recipient, inbox) in net.take_due(due, tick) {
-                let (shard, slot) = plan.placement_of(recipient);
-                if let Some(bucket) = per_shard.get_mut(shard) {
-                    bucket.push((slot, inbox));
-                }
-            }
-            let wave = run_wave(&shards, |index| {
-                match per_shard.get_mut(index) {
-                    Some(bucket) if !bucket.is_empty() => Some(Job::Batch {
-                        tick,
-                        inboxes: std::mem::take(bucket),
-                    }),
-                    _ => None,
-                }
-            })?;
-            let mut wave_max: u64 = 0;
-            for output in wave {
-                activations += 1;
-                metrics.total_checks += output.checks;
-                wave_max = wave_max.max(output.checks);
-                insoluble |= output.insoluble;
-                for vv in output.assignments {
-                    snapshot.set(vv.var, vv.value);
-                }
-                for event in output.events {
-                    net.sink().record(event);
-                }
-                for env in output.outbox {
-                    net.route(tick, env)?;
-                }
-            }
-            metrics.maxcck += wave_max;
-            net.sink().record(TraceEvent::CycleBarrier { cycle: tick });
-        }
-
-        metrics.termination = termination;
-        metrics.cycles = tick;
-        let (ok, nogood, other) = net.class_counts();
-        metrics.ok_messages = ok;
-        metrics.nogood_messages = nogood;
-        metrics.other_messages = other;
-
-        // End-of-run accounting: leftover checks surface as final steps
-        // (id-sorted, exactly as run_virtual's 0..n sweep), stats absorb.
-        let mut stats = AgentStats::default();
-        let finals = run_wave(&shards, |_| Some(Job::Finish { tick }))?;
-        for output in finals {
-            if output.checks > 0 {
-                metrics.total_checks += output.checks;
-            }
-            for event in output.events {
-                net.sink().record(event);
-            }
-            stats.absorb(output.stats);
-        }
-        net.link_totals().fold_into(&mut stats);
-        metrics.nogoods_generated = stats.nogoods_generated;
-        metrics.redundant_nogoods = stats.redundant_nogoods;
-        metrics.largest_nogood = stats.largest_nogood;
-        metrics.messages_sent = stats.messages_sent;
-        metrics.messages_dropped = stats.messages_dropped;
-        metrics.messages_duplicated = stats.messages_duplicated;
-        metrics.messages_reordered = stats.messages_reordered;
-        metrics.messages_retransmitted = stats.messages_retransmitted;
-        metrics.max_delivery_delay = stats.max_delivery_delay;
-
-        let in_flight = net.queued();
-        net.sink().record(TraceEvent::RunEnd {
-            cycle: metrics.cycles,
-            runtime: RuntimeKind::Sharded,
-            in_flight,
-            metrics: metrics.clone(),
-        });
-
-        let solution = if termination == Termination::Solved {
-            Some(snapshot)
-        } else {
-            None
+        let pool = ShardPool {
+            shards,
+            plan,
+            population,
         };
-        Ok(VirtualReport {
-            outcome: TrialOutcome { metrics, solution },
-            ticks: tick,
-            activations,
-            nudges,
-            fault_log: net.fault_log(),
-            trace: net.take_trace(),
-        })
+        WaveEngine::new(pool, Direct, problem, base, RuntimeKind::Sharded).run(problem)
     })
 }
 
@@ -546,7 +412,7 @@ mod tests {
     use crate::link::{run_virtual, LinkPolicy};
     use crate::message::{Classify, MessageClass};
     use crate::PPM;
-    use discsp_core::{AgentId, Domain, Nogood, Value, VariableId};
+    use discsp_core::{Domain, Nogood, Termination, Value, VariableId};
 
     /// Max-gossip agents on a ring (the same protocol as the virtual
     /// runtime's unit tests): everyone must end up holding `true`.

@@ -16,6 +16,7 @@ use serde::{Deserialize, Serialize};
 use discsp_trace::{RingBuffer, RuntimeKind, TraceEvent, TraceSink};
 
 use crate::agent::{AgentStats, DistributedAgent, Outbox};
+use crate::engine::check_dense_ids;
 use crate::error::RuntimeError;
 use crate::message::{Classify, Envelope};
 use crate::recorder::StepRecorder;
@@ -138,14 +139,7 @@ impl<A: DistributedAgent> SyncSimulator<A> {
     /// addresses a message outside the population.
     pub fn run(&mut self, problem: &DistributedCsp) -> Result<SyncRun, RuntimeError> {
         let n = self.agents.len();
-        for (position, agent) in self.agents.iter().enumerate() {
-            if agent.id().index() != position {
-                return Err(RuntimeError::NonDenseAgentIds {
-                    position,
-                    found: agent.id(),
-                });
-            }
-        }
+        check_dense_ids(&self.agents)?;
         // Messages tagged with their delivery cycle (normally the next
         // one; later under a message-delay model).
         let mut pending: Vec<(u64, Envelope<A::Message>)> = Vec::new();
@@ -279,9 +273,7 @@ impl<A: DistributedAgent> SyncSimulator<A> {
         for agent in &self.agents {
             stats.absorb(agent.stats());
         }
-        metrics.nogoods_generated = stats.nogoods_generated;
-        metrics.redundant_nogoods = stats.redundant_nogoods;
-        metrics.largest_nogood = stats.largest_nogood;
+        stats.fold_into_metrics(&mut metrics);
         // The simulator's links are perfect: every emitted message is
         // delivered, so sent equals the class totals exactly.
         metrics.messages_sent = metrics.total_messages();

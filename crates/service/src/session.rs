@@ -1,30 +1,29 @@
 //! One session as a resumable state machine.
 //!
-//! [`Driver`] is `run_virtual` unrolled: instead of looping to
-//! termination it executes exactly **one wave per [`Pump::poll`]** —
-//! the tick-0 start wave, a delivery wave, or a stall-recovery nudge
-//! wave — in the same order, with the same maxcck wave accounting, the
-//! same barrier events, and the same teardown as the in-process
-//! executor. A session polled to completion therefore produces metrics
-//! and a trace **bit-identical** to `solve_virtual` on the same
-//! `(seed, policy)` (modulo the `RunEnd` runtime stamp), which is the
-//! property the service's interleaving tests pin.
+//! [`Driver`] is a [`WaveEngine`] over the in-process backend, polled
+//! **one wave per [`Pump::poll`]** — the same engine `run_virtual` runs
+//! to termination in one call. A session polled to completion with an
+//! unbounded budget therefore produces metrics and a trace
+//! **bit-identical** to `solve_virtual` on the same `(seed, policy)`
+//! (modulo the `RunEnd` runtime stamp), which is the property the
+//! service's interleaving tests pin.
 //!
 //! Backpressure lives here too: each session has a bounded in-flight
-//! message budget. Sends past it spill to a deterministic FIFO parking
-//! queue ([`Pump::overflow_len`]) drained back into the router as its
-//! queue empties, so a hostile or chatty session has bounded router
-//! state no matter how much it sends per wave.
+//! message budget, plugged into the engine as a [`RouteHook`]. Sends past
+//! it spill to a deterministic FIFO parking queue
+//! ([`Pump::overflow_len`]) re-admitted into the router at the top of
+//! each poll as its queue empties, so a hostile or chatty session has
+//! bounded router state no matter how much it sends per wave.
 
 use std::collections::VecDeque;
 
 use discsp_awc::AwcSolver;
-use discsp_core::{Assignment, DistributedCsp, RunMetrics, Termination, TrialOutcome};
+use discsp_core::{Assignment, DistributedCsp};
 use discsp_dba::DbaSolver;
 use discsp_net::AlgoSpec;
 use discsp_runtime::{
-    AgentStats, DistributedAgent, Envelope, Outbox, Router, RuntimeError, StepRecorder,
-    TraceEvent, TraceSink, VirtualConfig, VirtualReport,
+    Classify, DistributedAgent, Envelope, InProcess, RouteHook, Router, RuntimeError, TraceEvent,
+    VirtualConfig, VirtualReport, WaveEngine,
 };
 use discsp_trace::RuntimeKind;
 
@@ -104,31 +103,54 @@ pub struct SessionSnapshot {
     pub events: Vec<TraceEvent>,
 }
 
-enum Phase {
-    NotStarted,
-    Running,
-    Finished,
+/// The in-flight budget as a routing hook: a send routes at once while
+/// the router holds fewer than `budget` copies and nothing is parked;
+/// otherwise it parks. Once anything is parked, everything parks behind
+/// it, and releases happen strictly in send order, so backpressure
+/// delays messages but never reorders one send past a later one.
+struct Budget<M> {
+    budget: u64,
+    overflow: VecDeque<Envelope<M>>,
+    peak: usize,
 }
 
-/// The resumable `run_virtual` state machine, generic over the agent
-/// type. See the module docs for the exact correspondence.
+impl<M: Classify + Clone> RouteHook<M> for Budget<M> {
+    fn route(
+        &mut self,
+        net: &mut Router<M>,
+        now: u64,
+        env: Envelope<M>,
+    ) -> Result<(), RuntimeError> {
+        if self.overflow.is_empty() && net.queued() < self.budget {
+            net.route(now, env)
+        } else {
+            self.overflow.push_back(env);
+            self.peak = self.peak.max(self.overflow.len());
+            Ok(())
+        }
+    }
+
+    /// Budget headroom freed by earlier deliveries re-admits parked sends
+    /// first, in FIFO order, before the poll routes anything else.
+    fn readmit(&mut self, net: &mut Router<M>, now: u64) -> Result<(), RuntimeError> {
+        while net.queued() < self.budget {
+            let Some(env) = self.overflow.pop_front() else {
+                break;
+            };
+            net.route(now, env)?;
+        }
+        Ok(())
+    }
+
+    fn holds_traffic(&self) -> bool {
+        !self.overflow.is_empty()
+    }
+}
+
+/// One session: the problem plus its wave engine.
 pub struct Driver<A: DistributedAgent> {
-    agents: Vec<A>,
     problem: DistributedCsp,
-    config: VirtualConfig,
-    budget: u64,
-    net: Router<A::Message>,
-    overflow: VecDeque<Envelope<A::Message>>,
-    overflow_peak: usize,
-    recorder: StepRecorder,
-    metrics: RunMetrics,
-    snapshot: Assignment,
-    activations: u64,
-    nudges: u64,
-    tick: u64,
-    insoluble: bool,
-    waves: u64,
-    phase: Phase,
+    engine: WaveEngine<A::Message, InProcess<A>, Budget<A::Message>>,
     report: Option<VirtualReport>,
 }
 
@@ -141,271 +163,47 @@ impl<A: DistributedAgent> Driver<A> {
     /// # Errors
     ///
     /// [`RuntimeError::NonDenseAgentIds`] unless agent *i* reports
-    /// id *i* — the same up-front check as the in-process executor.
+    /// id *i*.
     pub fn new(
         agents: Vec<A>,
         problem: DistributedCsp,
-        config: VirtualConfig,
+        config: &VirtualConfig,
         budget: u64,
     ) -> Result<Self, RuntimeError> {
-        for (position, agent) in agents.iter().enumerate() {
-            if agent.id().index() != position {
-                return Err(RuntimeError::NonDenseAgentIds {
-                    position,
-                    found: agent.id(),
-                });
-            }
-        }
-        let n = agents.len();
-        let net = match &config.schedule {
-            Some(schedule) => Router::scripted(n, schedule, config.seed, config.record_trace),
-            None => Router::new(n, config.link, config.seed, config.record_trace),
-        };
-        let num_vars = problem.num_vars();
-        Ok(Driver {
-            agents,
-            problem,
+        let hook = Budget {
             budget: budget.max(1),
-            net,
             overflow: VecDeque::new(),
-            overflow_peak: 0,
-            recorder: StepRecorder::new(),
-            metrics: RunMetrics::new(Termination::CutOff),
-            snapshot: Assignment::empty(num_vars),
-            activations: 0,
-            nudges: 0,
-            tick: 0,
-            insoluble: false,
-            waves: 0,
-            phase: Phase::NotStarted,
-            report: None,
-            config,
-        })
-    }
-
-    /// Routes now if the in-flight budget allows, else parks. Once
-    /// anything is parked, everything parks behind it: releases happen
-    /// strictly in send order, so backpressure delays messages but
-    /// never reorders one send past a later one.
-    fn route_budgeted(&mut self, now: u64, env: Envelope<A::Message>) -> Result<(), RuntimeError> {
-        if self.overflow.is_empty() && self.net.queued() < self.budget {
-            self.net.route(now, env)
-        } else {
-            self.overflow.push_back(env);
-            self.overflow_peak = self.overflow_peak.max(self.overflow.len());
-            Ok(())
-        }
-    }
-
-    /// Tick 0: every agent announces its initial state (one maxcck wave).
-    fn start_wave(&mut self) -> Result<(), RuntimeError> {
-        let mut start_max: u64 = 0;
-        for i in 0..self.agents.len() {
-            let agent = &mut self.agents[i];
-            let mut out = Outbox::new(agent.id());
-            agent.on_start(&mut out);
-            self.activations += 1;
-            let checks = agent.take_checks();
-            self.metrics.total_checks += checks;
-            start_max = start_max.max(checks);
-            self.recorder.record_step(agent, 0, checks, self.net.sink());
-            for env in out.drain() {
-                self.route_budgeted(0, env)?;
-            }
-        }
-        self.metrics.maxcck += start_max;
-        self.net.sink().record(TraceEvent::CycleBarrier { cycle: 0 });
-        self.insoluble = self.agents.iter().any(|a| a.detected_insoluble());
-        for agent in self.agents.iter() {
-            for vv in agent.assignments() {
-                self.snapshot.set(vv.var, vv.value);
-            }
-        }
-        Ok(())
-    }
-
-    /// A recovery pass: flush parked drops, ask agents to re-announce.
-    fn nudge_wave(&mut self) -> Result<(), RuntimeError> {
-        self.nudges += 1;
-        self.tick += 1;
-        self.net.flush_parked(self.tick);
-        let tick = self.tick;
-        let mut wave_max: u64 = 0;
-        for i in 0..self.agents.len() {
-            let agent = &mut self.agents[i];
-            let mut out = Outbox::new(agent.id());
-            agent.on_nudge(&mut out);
-            let checks = agent.take_checks();
-            self.metrics.total_checks += checks;
-            wave_max = wave_max.max(checks);
-            self.recorder.record_step(agent, tick, checks, self.net.sink());
-            for env in out.drain() {
-                self.route_budgeted(tick, env)?;
-            }
-        }
-        self.metrics.maxcck += wave_max;
-        self.net.sink().record(TraceEvent::CycleBarrier { cycle: tick });
-        Ok(())
-    }
-
-    /// Delivers every batch due this tick (one maxcck wave).
-    fn delivery_wave(&mut self, due: u64) -> Result<(), RuntimeError> {
-        self.tick = self.tick.max(due);
-        let tick = self.tick;
-        let mut wave_max: u64 = 0;
-        for (recipient, inbox) in self.net.take_due(due, tick) {
-            let Some(agent) = self.agents.get_mut(recipient) else {
-                continue;
-            };
-            let mut out = Outbox::new(agent.id());
-            agent.on_batch(inbox, &mut out);
-            self.activations += 1;
-            let checks = agent.take_checks();
-            self.metrics.total_checks += checks;
-            wave_max = wave_max.max(checks);
-            for vv in agent.assignments() {
-                self.snapshot.set(vv.var, vv.value);
-            }
-            self.insoluble |= agent.detected_insoluble();
-            self.recorder.record_step(agent, tick, checks, self.net.sink());
-            for env in out.drain() {
-                self.route_budgeted(tick, env)?;
-            }
-        }
-        self.metrics.maxcck += wave_max;
-        self.net.sink().record(TraceEvent::CycleBarrier { cycle: tick });
-        Ok(())
-    }
-
-    /// The teardown from `run_virtual`: leftover checks, stats
-    /// aggregation, the terminal `RunEnd` event, and the report.
-    fn finish(&mut self, termination: Termination) {
-        self.metrics.termination = termination;
-        self.metrics.cycles = self.tick;
-        let (ok, nogood, other) = self.net.class_counts();
-        self.metrics.ok_messages = ok;
-        self.metrics.nogood_messages = nogood;
-        self.metrics.other_messages = other;
-        let mut stats = AgentStats::default();
-        let tick = self.tick;
-        for i in 0..self.agents.len() {
-            let agent = &mut self.agents[i];
-            let leftover = agent.take_checks();
-            if leftover > 0 {
-                self.metrics.total_checks += leftover;
-                let id = agent.id();
-                self.net.sink().record(TraceEvent::AgentStep {
-                    cycle: tick,
-                    agent: id,
-                    checks: leftover,
-                });
-            }
-            stats.absorb(agent.stats());
-        }
-        self.net.link_totals().fold_into(&mut stats);
-        self.metrics.nogoods_generated = stats.nogoods_generated;
-        self.metrics.redundant_nogoods = stats.redundant_nogoods;
-        self.metrics.largest_nogood = stats.largest_nogood;
-        self.metrics.messages_sent = stats.messages_sent;
-        self.metrics.messages_dropped = stats.messages_dropped;
-        self.metrics.messages_duplicated = stats.messages_duplicated;
-        self.metrics.messages_reordered = stats.messages_reordered;
-        self.metrics.messages_retransmitted = stats.messages_retransmitted;
-        self.metrics.max_delivery_delay = stats.max_delivery_delay;
-
-        let in_flight = self.net.queued();
-        self.net.sink().record(TraceEvent::RunEnd {
-            cycle: self.metrics.cycles,
-            runtime: RuntimeKind::Service,
-            in_flight,
-            metrics: self.metrics.clone(),
-        });
-
-        let solution = if termination == Termination::Solved {
-            Some(self.snapshot.clone())
-        } else {
-            None
+            peak: 0,
         };
-        self.report = Some(VirtualReport {
-            outcome: TrialOutcome {
-                metrics: self.metrics.clone(),
-                solution,
-            },
-            ticks: self.tick,
-            activations: self.activations,
-            nudges: self.nudges,
-            fault_log: self.net.fault_log(),
-            trace: self.net.take_trace(),
-        });
-        self.phase = Phase::Finished;
+        let engine = WaveEngine::new(
+            InProcess::new(agents)?,
+            hook,
+            &problem,
+            config,
+            RuntimeKind::Service,
+        );
+        Ok(Driver {
+            problem,
+            engine,
+            report: None,
+        })
     }
 }
 
 impl<A: DistributedAgent + Send> Pump for Driver<A> {
     fn poll(&mut self) -> Result<SessionPoll, RuntimeError> {
-        match self.phase {
-            Phase::Finished => return Ok(SessionPoll::Finished),
-            Phase::NotStarted => {
-                self.start_wave()?;
-                self.phase = Phase::Running;
-                self.waves += 1;
-                return Ok(SessionPoll::Running);
-            }
-            Phase::Running => {}
+        if let Some(report) = self.engine.poll(&self.problem)? {
+            self.report = Some(report);
         }
-
-        // Budget headroom freed by earlier deliveries re-admits parked
-        // sends first, in FIFO order, before this wave routes anything.
-        while self.net.queued() < self.budget {
-            let Some(env) = self.overflow.pop_front() else {
-                break;
-            };
-            self.net.route(self.tick, env)?;
-        }
-
-        if self.insoluble {
-            self.finish(Termination::Insoluble);
-            return Ok(SessionPoll::Finished);
-        }
-        if self.config.stop_on_first_solution && self.problem.is_solution(&self.snapshot) {
-            self.finish(Termination::Solved);
-            return Ok(SessionPoll::Finished);
-        }
-        let Some(due) = self.net.next_due() else {
-            // Quiescent (the overflow drain above guarantees the parking
-            // queue is empty whenever the router is): stable snapshot.
-            if self.problem.is_solution(&self.snapshot) {
-                self.finish(Termination::Solved);
-                return Ok(SessionPoll::Finished);
-            }
-            // As in `run_virtual`: recovery is not gated on the fault
-            // policy (or on backpressure), since a protocol can park
-            // itself without losing a message.
-            if self.nudges >= self.config.max_nudges {
-                self.finish(Termination::CutOff);
-                return Ok(SessionPoll::Finished);
-            }
-            self.nudge_wave()?;
-            self.waves += 1;
-            if self.net.is_quiescent() && self.overflow.is_empty() {
-                // Nothing retransmitted and nobody re-announced: the
-                // stall is permanent.
-                self.finish(Termination::CutOff);
-                return Ok(SessionPoll::Finished);
-            }
-            return Ok(SessionPoll::Running);
-        };
-        if due > self.config.max_ticks {
-            self.finish(Termination::CutOff);
-            return Ok(SessionPoll::Finished);
-        }
-        self.delivery_wave(due)?;
-        self.waves += 1;
-        Ok(SessionPoll::Running)
+        Ok(if self.engine.finished() {
+            SessionPoll::Finished
+        } else {
+            SessionPoll::Running
+        })
     }
 
     fn finished(&self) -> bool {
-        matches!(self.phase, Phase::Finished)
+        self.engine.finished()
     }
 
     fn take_report(&mut self) -> Option<VirtualReport> {
@@ -413,19 +211,19 @@ impl<A: DistributedAgent + Send> Pump for Driver<A> {
     }
 
     fn waves(&self) -> u64 {
-        self.waves
+        self.engine.waves()
     }
 
     fn overflow_len(&self) -> usize {
-        self.overflow.len()
+        self.engine.hook().overflow.len()
     }
 
     fn overflow_peak(&self) -> usize {
-        self.overflow_peak
+        self.engine.hook().peak
     }
 
     fn trace_so_far(&mut self) -> Vec<TraceEvent> {
-        self.net.sink().iter().cloned().collect()
+        self.engine.sink().iter().cloned().collect()
     }
 }
 
@@ -448,7 +246,7 @@ pub fn build_pump(spec: &SessionSpec, budget: u64) -> Result<Box<dyn Pump>, Serv
                 .map_err(|e| ServiceError::BadSpec {
                     detail: e.to_string(),
                 })?;
-            let driver = Driver::new(agents, spec.problem.clone(), spec.config.clone(), budget)?;
+            let driver = Driver::new(agents, spec.problem.clone(), &spec.config, budget)?;
             Ok(Box::new(driver))
         }
         AlgoSpec::Dba(mode) => {
@@ -460,7 +258,7 @@ pub fn build_pump(spec: &SessionSpec, budget: u64) -> Result<Box<dyn Pump>, Serv
                 })?;
             let mut config = spec.config.clone();
             config.stop_on_first_solution = true;
-            let driver = Driver::new(agents, spec.problem.clone(), config, budget)?;
+            let driver = Driver::new(agents, spec.problem.clone(), &config, budget)?;
             Ok(Box::new(driver))
         }
     }

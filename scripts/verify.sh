@@ -28,11 +28,8 @@ TRACE_DIR="$soak_traces" \
 echo "==> discsp-trace audit (independently recompute metrics from every soak trace)"
 cargo run --release --offline -q -p discsp-trace -- audit "$soak_traces"/*.jsonl
 
-echo "==> explore smoke (fault-schedule campaign, fixed seed, all algorithms)"
+echo "==> explore smoke (fault-schedule campaign, fixed seed, all algorithms; replays on the sharded executor and service sessions)"
 cargo run --release --offline -q -p discsp-explore -- --algo all --trials 200 --seed 1
-
-echo "==> explore smoke on the sharded executor (100 schedules, 4 workers)"
-cargo run --release --offline -q -p discsp-explore -- --algo awc-rslv --trials 100 --seed 1 --sharded 4
 
 echo "==> service smoke (discsp-load fixed-seed matrix; every session trace re-audited)"
 service_traces="target/service-traces"
