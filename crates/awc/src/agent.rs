@@ -141,7 +141,7 @@ fn ordinal(k: usize) -> String {
 /// One AWC agent owning a single variable.
 ///
 /// Implements [`DistributedAgent`], so it runs unchanged on the
-/// synchronous simulator and the asynchronous runtime. Construct whole
+/// synchronous simulator and on the wave engine's runtimes. Construct whole
 /// populations with [`crate::AwcSolver`].
 #[derive(Debug)]
 pub struct AwcAgent {

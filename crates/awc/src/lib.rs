@@ -9,7 +9,7 @@
 //! priority. This crate provides:
 //!
 //! * [`AwcAgent`] / [`AwcSolver`] — the algorithm, runnable on the
-//!   synchronous simulator or the asynchronous runtime of
+//!   synchronous simulator or any wave-engine runtime of
 //!   `discsp-runtime`;
 //! * [`Learning`] — resolvent-based (§3), mcs-based, and no-learning
 //!   strategies, with size-bounded recording (§4.2) and the rec/norec

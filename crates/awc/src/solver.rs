@@ -5,8 +5,7 @@ use std::fmt;
 
 use discsp_core::{AgentId, Assignment, DistributedCsp, VariableId};
 use discsp_runtime::{
-    run_async, run_sharded, run_virtual, AsyncConfig, AsyncReport, ShardConfig, SyncRun,
-    SyncSimulator, VirtualConfig, VirtualReport,
+    run_sharded, run_virtual, ShardConfig, SyncRun, SyncSimulator, VirtualConfig, VirtualReport,
 };
 
 use crate::agent::{AwcAgent, AwcConfig};
@@ -224,21 +223,6 @@ impl AwcSolver {
         sim.run(problem).map_err(AwcError::from)
     }
 
-    /// Runs on the asynchronous threads-and-channels runtime.
-    ///
-    /// # Errors
-    ///
-    /// See [`AwcSolver::build_agents`].
-    pub fn solve_async(
-        &self,
-        problem: &DistributedCsp,
-        init: &Assignment,
-        config: &AsyncConfig,
-    ) -> Result<AsyncReport, AwcError> {
-        let agents = self.build_agents(problem, init)?;
-        run_async(agents, problem, config).map_err(AwcError::from)
-    }
-
     /// Runs on the deterministic discrete-event runtime with link faults:
     /// identical `(seed, LinkPolicy)` pairs replay bit-identically, so any
     /// fault-induced failure is reproducible from the config alone.
@@ -279,6 +263,7 @@ impl AwcSolver {
 mod tests {
     use super::*;
     use discsp_core::{Domain, Termination, Value};
+    use discsp_runtime::LinkPolicy;
 
     fn triangle() -> DistributedCsp {
         let mut b = DistributedCsp::builder();
@@ -361,11 +346,15 @@ mod tests {
     }
 
     #[test]
-    fn solves_triangle_asynchronously() {
+    fn solves_triangle_under_delay_and_reordering() {
         let problem = triangle();
         let init = Assignment::total([Value::new(0); 3]);
+        let config = VirtualConfig {
+            link: LinkPolicy::delayed(0, 3).with_reordering(2),
+            ..VirtualConfig::default()
+        };
         let report = AwcSolver::new(AwcConfig::resolvent())
-            .solve_async(&problem, &init, &AsyncConfig::default())
+            .solve_virtual(&problem, &init, &config)
             .unwrap();
         assert_eq!(report.outcome.metrics.termination, Termination::Solved);
         assert!(problem.is_solution(report.outcome.solution.as_ref().unwrap()));

@@ -1,10 +1,10 @@
 //! Scale benchmark: the M:N sharded executor on large planted coloring
 //! instances.
 //!
-//! `run_async` spawns one OS thread per agent and tops out at a few
-//! thousand agents; `run_sharded` multiplexes the population onto a
-//! fixed worker pool. This bench drives the distributed breakout over
-//! `paper_coloring` instances of 10^5–3×10^5 agents, started from a
+//! `run_sharded` multiplexes the population onto a fixed worker pool,
+//! so 10^5 agents need only a handful of threads. This bench drives the
+//! distributed breakout over `paper_coloring` instances of
+//! 10^5–3×10^5 agents, started from a
 //! lightly perturbed planted solution so the repair is real work with
 //! a bounded, size-tracked wave count (AWC's repair cost from the same
 //! init is wildly seed-dependent), and reports the two numbers the

@@ -385,7 +385,7 @@ impl DistributedAgent for DbaAgent {
             }
         }
         // A buffered backlog can complete several waves back to back
-        // (possible on the asynchronous runtime).
+        // (possible when the link policy delays or reorders messages).
         while self.wave_ready() {
             match self.phase {
                 Phase::WaitOk => self.process_ok_wave(out),

@@ -5,8 +5,7 @@ use std::fmt;
 
 use discsp_core::{AgentId, Assignment, DistributedCsp, VariableId};
 use discsp_runtime::{
-    run_async, run_sharded, run_virtual, AsyncConfig, AsyncReport, ShardConfig, SyncRun,
-    SyncSimulator, VirtualConfig, VirtualReport,
+    run_sharded, run_virtual, ShardConfig, SyncRun, SyncSimulator, VirtualConfig, VirtualReport,
 };
 
 use crate::agent::{DbaAgent, WeightMode};
@@ -221,30 +220,11 @@ impl DbaSolver {
         sim.run(problem).map_err(DbaError::from)
     }
 
-    /// Runs on the asynchronous threads-and-channels runtime.
+    /// Runs on the deterministic discrete-event runtime with link faults.
     ///
     /// DB's ok?/improve waves never go quiet, so the run always observes
     /// the first consistent snapshot (`stop_on_first_solution` is forced
     /// on), mirroring the paper's "until a solution is found" semantics.
-    ///
-    /// # Errors
-    ///
-    /// See [`DbaSolver::build_agents`].
-    pub fn solve_async(
-        &self,
-        problem: &DistributedCsp,
-        init: &Assignment,
-        config: &AsyncConfig,
-    ) -> Result<AsyncReport, DbaError> {
-        let agents = self.build_agents(problem, init)?;
-        let mut config = config.clone();
-        config.stop_on_first_solution = true;
-        run_async(agents, problem, &config).map_err(DbaError::from)
-    }
-
-    /// Runs on the deterministic discrete-event runtime with link faults.
-    /// As with [`DbaSolver::solve_async`], `stop_on_first_solution` is
-    /// forced on — the breakout's waves never quiesce.
     ///
     /// # Errors
     ///
@@ -343,11 +323,15 @@ mod tests {
     }
 
     #[test]
-    fn db_solves_triangle_asynchronously() {
+    fn db_solves_triangle_under_delay_and_reordering() {
         let problem = triangle();
         let init = Assignment::total([Value::new(0); 3]);
+        let config = VirtualConfig {
+            link: discsp_runtime::LinkPolicy::delayed(0, 3).with_reordering(2),
+            ..VirtualConfig::default()
+        };
         let report = DbaSolver::new()
-            .solve_async(&problem, &init, &discsp_runtime::AsyncConfig::default())
+            .solve_virtual(&problem, &init, &config)
             .unwrap();
         assert_eq!(report.outcome.metrics.termination, Termination::Solved);
     }

@@ -969,7 +969,7 @@ mod tests {
     fn link_layer_is_policed_by_d2() {
         // The virtual tick needs no wall-clock exemption: link.rs and the
         // wave engine get the full runtime rule set.
-        for policed in ["link.rs", "engine.rs", "asynchronous.rs"] {
+        for policed in ["link.rs", "engine.rs"] {
             let path = format!("crates/runtime/src/{policed}");
             assert_eq!(rules_for(&path), vec![Rule::D1, Rule::D2, Rule::P1], "{path}");
         }

@@ -313,12 +313,11 @@ fn gen_fault_kind(rng: &mut SplitMix64) -> FaultKind {
 }
 
 fn gen_runtime_kind(rng: &mut SplitMix64) -> RuntimeKind {
-    match rng.next_below(6) {
+    match rng.next_below(5) {
         0 => RuntimeKind::Sync,
         1 => RuntimeKind::Virtual,
-        2 => RuntimeKind::Async,
-        3 => RuntimeKind::Net,
-        4 => RuntimeKind::Service,
+        2 => RuntimeKind::Net,
+        3 => RuntimeKind::Service,
         _ => RuntimeKind::Sharded,
     }
 }

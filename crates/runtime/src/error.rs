@@ -1,7 +1,7 @@
 //! Runtime failure reporting.
 //!
-//! Both runtimes report structural failures — misrouted messages, dead
-//! agent threads — as values instead of panicking, so a single broken
+//! The runtimes report structural failures — misrouted messages, dead
+//! shard workers — as values instead of panicking, so a single broken
 //! agent degrades into a reported error rather than tearing down the
 //! whole process (or, worse, deadlocking the remaining threads).
 
@@ -10,12 +10,11 @@ use std::fmt;
 
 use discsp_core::AgentId;
 
-/// Errors raised by the synchronous simulator and the asynchronous
-/// runtime while executing an agent population.
+/// Errors raised by the runtimes while executing an agent population.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum RuntimeError {
-    /// Agent *i* of the population did not report id *i*. Both runtimes
+    /// Agent *i* of the population did not report id *i*. The runtimes
     /// route messages by dense agent index, so a sparse or permuted
     /// population cannot be executed.
     NonDenseAgentIds {
@@ -29,15 +28,9 @@ pub enum RuntimeError {
         /// The nonexistent addressee.
         agent: AgentId,
     },
-    /// An agent thread panicked mid-run (asynchronous runtime only); its
-    /// channel is poisoned and its metrics are lost.
-    AgentPanicked {
-        /// The agent whose thread died.
-        agent: AgentId,
-    },
     /// A shard worker thread died mid-run (sharded runtime only): an
-    /// agent panicked while its shard drained a wave. The panic also
-    /// resurfaces when the worker scope unwinds.
+    /// agent panicked while its shard drained a wave, and the shard's
+    /// agents and metrics are lost.
     ShardWorkerDied {
         /// Index of the shard whose worker died.
         shard: usize,
@@ -54,9 +47,6 @@ impl fmt::Display for RuntimeError {
             ),
             RuntimeError::UnknownRecipient { agent } => {
                 write!(f, "message addressed to unknown agent {agent}")
-            }
-            RuntimeError::AgentPanicked { agent } => {
-                write!(f, "thread of agent {agent} panicked; its results are lost")
             }
             RuntimeError::ShardWorkerDied { shard } => {
                 write!(f, "worker of shard {shard} died mid-run; its results are lost")

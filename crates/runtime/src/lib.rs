@@ -1,16 +1,15 @@
 //! Distributed-system substrates for DisCSP algorithms.
 //!
-//! Two runtimes execute the same [`DistributedAgent`] implementations:
+//! Every executor runs the same [`DistributedAgent`] implementations and
+//! is deterministic: a failing `(seed, LinkPolicy)` pair replays
+//! bit-identically.
 //!
 //! * [`SyncSimulator`] — the synchronous cycle simulator the paper uses
 //!   for all measurements (§4): per cycle, every agent reads its inbox,
 //!   computes, and sends; `cycle` and `maxcck` metrics are collected here.
-//! * [`run_async`] — one OS thread per agent with crossbeam channels,
-//!   demonstrating the algorithms on a *fully asynchronous* system, with
-//!   quiescence-based solution detection via in-flight message counting.
 //! * [`run_virtual`] — a single-threaded discrete-event executor over the
-//!   same agents and the same [`Link`] fault layer, fully deterministic:
-//!   a failing `(seed, LinkPolicy)` pair replays bit-identically.
+//!   same agents and the [`Link`] fault layer, whose delay and
+//!   reordering policies model the paper's fully asynchronous system.
 //! * [`run_sharded`] — the M:N sharded executor: `run_virtual`'s
 //!   deterministic semantics with agent activations fanned out to a
 //!   fixed pool of worker threads owning slab-pooled per-shard arenas.
@@ -22,7 +21,7 @@
 //! wave accounting, termination and teardown.
 //!
 //! The [`link`](crate::Link) layer injects seeded drop, duplication,
-//! delay, and reordering faults into either runtime's traffic, with
+//! delay, and reordering faults into the wave engine's traffic, with
 //! per-link [`SplitMix64`] streams derived from the run seed
 //! ([`derive_link_seed`]).
 //!
@@ -38,7 +37,6 @@
 #![warn(missing_docs)]
 
 mod agent;
-mod asynchronous;
 mod engine;
 mod error;
 mod link;
@@ -55,7 +53,6 @@ mod sync;
 mod wire;
 
 pub use agent::{AgentNote, AgentStats, DistributedAgent, Outbox};
-pub use asynchronous::{run_async, AsyncConfig, AsyncReport};
 pub use discsp_trace::{
     canonical_sort, render_trace, FaultKind, NullSink, RingBuffer, RuntimeKind, TraceEvent,
     TraceSink,

@@ -13,8 +13,7 @@
 //!
 //! Time here is a `u64` **virtual tick**, never `std::time::Instant`: the
 //! wave engine behind [`run_virtual`] advances ticks as the event queue
-//! drains, and the threaded runtime advances a shared atomic tick from
-//! its observer loop.
+//! drains.
 //!
 //! Dropped messages are not lost forever: real DisCSP correctness proofs
 //! assume eventual delivery (finite but arbitrary delay), so the link
@@ -660,8 +659,8 @@ mod tests {
 
     // -- run_virtual ------------------------------------------------------
 
-    /// Max-gossip agents on a ring (same protocol as the async runtime's
-    /// unit tests): everyone must end up holding `true`.
+    /// Max-gossip agents on a ring (same protocol as the sharded
+    /// runtime's unit tests): everyone must end up holding `true`.
     #[derive(Debug, Clone)]
     struct Gossip(Value);
 
@@ -756,6 +755,34 @@ mod tests {
     }
 
     #[test]
+    fn virtual_run_converges_under_delay_and_reordering() {
+        let problem = all_true_problem(5);
+        for seed in 0..3u64 {
+            let config = VirtualConfig {
+                seed,
+                link: LinkPolicy::delayed(0, 3).with_reordering(2),
+                ..VirtualConfig::default()
+            };
+            let report = run_virtual(ring(5), &problem, &config).expect("runs");
+            let m = &report.outcome.metrics;
+            assert_eq!(m.termination, Termination::Solved, "seed {seed}");
+            let sol = report.outcome.solution.expect("solved");
+            for i in 0..5 {
+                assert_eq!(
+                    sol.get(VariableId::new(i)),
+                    Some(Value::TRUE),
+                    "seed {seed}"
+                );
+            }
+            // Timing cannot change the protocol: 5 starts + 4 flips.
+            assert_eq!(m.ok_messages, 9, "seed {seed}");
+            assert_eq!(m.messages_sent, 9, "seed {seed}");
+            assert!(m.max_delivery_delay > 0, "seed {seed}: no copy was delayed");
+            assert_eq!(report.nudges, 0, "seed {seed}: a lossless run never stalls");
+        }
+    }
+
+    #[test]
     fn virtual_run_is_bit_identical_under_faults() {
         let problem = all_true_problem(6);
         let config = VirtualConfig {
@@ -798,7 +825,11 @@ mod tests {
 
     #[test]
     fn virtual_run_class_counters_match_enqueues_under_faults() {
+        // Drops, duplication and delay share every link; the identity
+        // must hold exactly and pass the trace audit, which recomputes
+        // each term from events.
         let problem = all_true_problem(6);
+        let (mut dropped, mut duplicated, mut delayed) = (0u64, 0u64, 0u64);
         for seed in 0..10u64 {
             let config = VirtualConfig {
                 seed,
@@ -806,6 +837,7 @@ mod tests {
                     .with_duplication(100_000)
                     .with_delay(0, 3)
                     .with_reordering(2),
+                record_trace: true,
                 ..VirtualConfig::default()
             };
             let report = run_virtual(ring(6), &problem, &config).expect("runs");
@@ -818,7 +850,16 @@ mod tests {
                     + m.messages_retransmitted,
                 "seed {seed}"
             );
+            let audit = discsp_trace::audit(&report.trace).expect("trace is sealed by RunEnd");
+            assert!(audit.passed(), "seed {seed}: {:?}", audit.failures);
+            dropped += m.messages_dropped;
+            duplicated += m.messages_duplicated;
+            delayed += m.max_delivery_delay;
         }
+        assert!(
+            dropped > 0 && duplicated > 0 && delayed > 0,
+            "the seeds must exercise all three fault kinds"
+        );
     }
 
     #[test]

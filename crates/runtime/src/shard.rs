@@ -1,13 +1,13 @@
 //! The M:N sharded executor: the wave engine's activations fanned out
 //! to worker threads.
 //!
-//! `run_async` spawns one OS thread per agent, which caps realistic runs
-//! at a few thousand agents. [`run_sharded`] runs the population on a
-//! fixed pool of worker threads instead: agents live in slab-pooled
-//! per-shard arenas ([`Slab`]), each worker owns one shard and drains its
-//! agents' mailbox batches, and the [`WaveEngine`] on the calling thread
-//! drives the run with the pool as its activation backend — the same
-//! engine, router and wave accounting as [`run_virtual`](crate::run_virtual).
+//! [`run_sharded`] runs the population on a fixed pool of worker
+//! threads, so 10^5 agents need only a handful of threads: agents live
+//! in slab-pooled per-shard arenas ([`Slab`]), each worker owns one
+//! shard and drains its agents' mailbox batches, and the [`WaveEngine`]
+//! on the calling thread drives the run with the pool as its activation
+//! backend — the same engine, router and wave accounting as
+//! [`run_virtual`](crate::run_virtual).
 //!
 //! **Why determinism survives M:N.** Each wave is partitioned across
 //! shards by the seed-derived [`ShardPlan`]; workers return one buffered
@@ -346,8 +346,7 @@ impl<M: Classify + Clone> Activate<M> for ShardPool<M> {
 /// [`RuntimeError::NonDenseAgentIds`] unless agent *i* reports id *i*;
 /// [`RuntimeError::UnknownRecipient`] when a message addresses an agent
 /// outside the population; [`RuntimeError::ShardWorkerDied`] when a
-/// worker thread dies mid-run (an agent panicked — the panic also
-/// resurfaces when the worker scope unwinds).
+/// worker thread dies mid-run because an agent panicked.
 pub fn run_sharded<A>(
     agents: Vec<A>,
     problem: &DistributedCsp,
@@ -378,6 +377,7 @@ where
 
     std::thread::scope(|scope| {
         let mut shards: Vec<ShardHandle<A::Message>> = Vec::with_capacity(arenas.len());
+        let mut workers = Vec::with_capacity(arenas.len());
         for arena in arenas {
             let (job_tx, job_rx) = channel();
             let (reply_tx, reply_rx) = channel();
@@ -391,7 +391,7 @@ where
                     RingBuffer::disabled()
                 },
             };
-            scope.spawn(move || worker.run(job_rx, reply_tx));
+            workers.push(scope.spawn(move || worker.run(job_rx, reply_tx)));
             shards.push(ShardHandle {
                 jobs: job_tx,
                 replies: reply_rx,
@@ -402,7 +402,22 @@ where
             plan,
             population,
         };
-        WaveEngine::new(pool, Direct, problem, base, RuntimeKind::Sharded).run(problem)
+        // `run` consumes the engine, so the pool's job channels close
+        // when it returns and every worker leaves its loop.
+        let result =
+            WaveEngine::new(pool, Direct, problem, base, RuntimeKind::Sharded).run(problem);
+        // Join every worker by hand: a panic joined here is an error
+        // value, where an unjoined one would re-raise out of the scope.
+        let mut died = None;
+        for (shard, worker) in workers.into_iter().enumerate() {
+            if worker.join().is_err() {
+                died = died.or(Some(shard));
+            }
+        }
+        match died {
+            Some(shard) => Err(RuntimeError::ShardWorkerDied { shard }),
+            None => result,
+        }
     })
 }
 
@@ -632,6 +647,116 @@ mod tests {
                 agent: AgentId::new(99)
             }
         );
+    }
+
+    /// Agents that flood every peer, one of which declares the problem
+    /// insoluble as soon as it has heard anything — ending the run while
+    /// its peers are still mid-storm.
+    struct StormAgent {
+        id: AgentId,
+        n: usize,
+        budget: u32,
+        heard: u32,
+        insoluble_after: Option<u32>,
+    }
+
+    impl StormAgent {
+        fn flood(&self, out: &mut Outbox<Gossip>) {
+            for j in 0..self.n {
+                if j != self.id.index() {
+                    out.send(AgentId::new(j as u32), Gossip(Value::TRUE));
+                }
+            }
+        }
+    }
+
+    impl DistributedAgent for StormAgent {
+        type Message = Gossip;
+
+        fn id(&self) -> AgentId {
+            self.id
+        }
+
+        fn on_start(&mut self, out: &mut Outbox<Gossip>) {
+            self.flood(out);
+        }
+
+        fn on_batch(&mut self, inbox: Vec<Envelope<Gossip>>, out: &mut Outbox<Gossip>) {
+            self.heard += inbox.len() as u32;
+            for _ in 0..inbox.len() {
+                if self.budget == 0 {
+                    break;
+                }
+                self.budget -= 1;
+                self.flood(out);
+            }
+        }
+
+        fn detected_insoluble(&self) -> bool {
+            matches!(self.insoluble_after, Some(k) if self.heard >= k)
+        }
+
+        fn assignments(&self) -> Vec<VarValue> {
+            Vec::new()
+        }
+
+        fn take_checks(&mut self) -> u64 {
+            0
+        }
+
+        fn stats(&self) -> AgentStats {
+            AgentStats::default()
+        }
+    }
+
+    fn storm() -> Vec<StormAgent> {
+        (0..3)
+            .map(|i| StormAgent {
+                id: AgentId::new(i as u32),
+                n: 3,
+                budget: 200,
+                heard: 0,
+                insoluble_after: (i == 0).then_some(1),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn insoluble_exit_mid_storm_keeps_conservation_exact() {
+        // An early insoluble exit on worker threads leaves copies in
+        // flight; each is counted once, as enqueued, so the identity is
+        // exact, the audit passes, and the run is its virtual twin.
+        let problem = all_true_problem(3);
+        for seed in 0..4u64 {
+            let base = VirtualConfig {
+                seed,
+                link: LinkPolicy::lossy(200_000)
+                    .with_duplication(200_000)
+                    .with_delay(0, 2),
+                record_trace: true,
+                ..VirtualConfig::default()
+            };
+            let config = ShardConfig::with_base(base.clone(), 2);
+            let report = run_sharded(storm(), &problem, &config).expect("runs");
+            let m = &report.outcome.metrics;
+            assert_eq!(m.termination, Termination::Insoluble, "seed {seed}");
+            assert_eq!(
+                m.total_messages(),
+                m.messages_sent - m.messages_dropped
+                    + m.messages_duplicated
+                    + m.messages_retransmitted,
+                "seed {seed}"
+            );
+            let audit = discsp_trace::audit(&report.trace).expect("trace is sealed by RunEnd");
+            assert!(audit.passed(), "seed {seed}: {:?}", audit.failures);
+            let twin = run_virtual(storm(), &problem, &base).expect("runs");
+            assert_eq!(report.outcome, twin.outcome, "seed {seed}");
+            assert_eq!(
+                strip_run_end(&report.trace),
+                strip_run_end(&twin.trace),
+                "seed {seed}"
+            );
+        }
     }
 
     #[test]

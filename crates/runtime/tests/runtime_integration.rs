@@ -1,12 +1,12 @@
-//! Integration tests driving both runtimes with a purpose-built
+//! Integration tests driving the runtimes with a purpose-built
 //! protocol: distributed maximum agreement over a line graph.
 
 use discsp_core::{
     AgentId, DistributedCsp, Domain, Nogood, Value, VarValue, VariableId,
 };
 use discsp_runtime::{
-    run_async, run_virtual, AgentStats, AsyncConfig, Classify, DistributedAgent, Envelope,
-    LinkPolicy, MessageClass, Outbox, RuntimeError, SyncSimulator, VirtualConfig, PPM,
+    run_sharded, run_virtual, AgentStats, Classify, DistributedAgent, Envelope, LinkPolicy,
+    MessageClass, Outbox, RuntimeError, ShardConfig, SyncSimulator, VirtualConfig, PPM,
 };
 
 /// Protocol: every agent must end up holding the maximum of all initial
@@ -153,10 +153,20 @@ fn sync_history_shows_monotone_violation_decline() {
     assert_eq!(*violations.last().unwrap(), 0);
 }
 
+/// Asynchronous delivery: every copy is delayed 0..=3 ticks and may be
+/// overtaken inside a 2-tick window.
+fn delayed_and_reordered() -> LinkPolicy {
+    LinkPolicy::delayed(0, 3).with_reordering(2)
+}
+
 #[test]
-fn async_reaches_same_fixed_point() {
+fn reordered_delivery_reaches_same_fixed_point() {
     let problem = all_hold(8, 7, 8);
-    let report = run_async(agents(8, 3, 7), &problem, &AsyncConfig::default()).expect("runs");
+    let config = VirtualConfig {
+        link: delayed_and_reordered(),
+        ..VirtualConfig::default()
+    };
+    let report = run_virtual(agents(8, 3, 7), &problem, &config).expect("runs");
     assert!(report.outcome.metrics.termination.is_solved());
     let solution = report.outcome.solution.unwrap();
     for i in 0..8 {
@@ -165,18 +175,22 @@ fn async_reaches_same_fixed_point() {
 }
 
 #[test]
-fn async_jitter_does_not_change_the_fixed_point() {
+fn link_delay_does_not_change_the_fixed_point() {
     let problem = all_hold(5, 3, 4);
     for seed in 0..3 {
-        let config = AsyncConfig {
-            jitter_micros: 400,
+        let config = VirtualConfig {
             seed,
-            ..AsyncConfig::default()
+            link: delayed_and_reordered(),
+            ..VirtualConfig::default()
         };
-        let report = run_async(agents(5, 4, 3), &problem, &config).expect("runs");
-        assert!(
-            report.outcome.metrics.termination.is_solved(),
-            "seed {seed}"
+        let report = run_virtual(agents(5, 4, 3), &problem, &config).expect("runs");
+        let m = &report.outcome.metrics;
+        assert!(m.termination.is_solved(), "seed {seed}");
+        assert!(m.max_delivery_delay > 0, "seed {seed}: no copy was delayed");
+        assert_eq!(
+            m.total_messages(),
+            m.messages_sent,
+            "seed {seed}: lossless link"
         );
     }
 }
@@ -267,43 +281,30 @@ impl DistributedAgent for Bomb {
 }
 
 #[test]
-fn async_run_reports_unknown_recipient() {
-    let problem = all_hold(3, 2, 3);
-    let population: Vec<Misrouter> = agents(3, 1, 2).into_iter().map(Misrouter).collect();
-    let result = run_async(population, &problem, &AsyncConfig::default());
-    match result {
-        Err(RuntimeError::UnknownRecipient { agent }) => {
-            assert_eq!(agent, AgentId::new(999));
-        }
-        other => panic!("expected UnknownRecipient, got {other:?}"),
-    }
-}
-
-#[test]
-fn async_run_reports_panicked_agent() {
+fn sharded_run_reports_panicked_agent() {
     let problem = all_hold(3, 2, 3);
     let mut population: Vec<Bomb> = agents(3, 1, 2).into_iter().map(Bomb).collect();
     // Keep one sane sender so the bomb actually receives a message.
     population[0].0.value = Value::new(2);
-    let result = run_async(population, &problem, &AsyncConfig::default());
+    let result = run_sharded(population, &problem, &ShardConfig::new(2));
     match result {
-        Err(RuntimeError::AgentPanicked { .. }) => {}
-        other => panic!("expected AgentPanicked, got {other:?}"),
+        Err(RuntimeError::ShardWorkerDied { shard }) => assert!(shard < 2, "shard {shard}"),
+        other => panic!("expected ShardWorkerDied, got {other:?}"),
     }
 }
 
 #[test]
-fn async_class_counters_equal_enqueued_copies_under_duplication() {
+fn class_counters_equal_enqueued_copies_under_duplication() {
     // Every message is duplicated: the ok? counter must equal the
     // enqueued copies (sent + duplicated), not the emission count —
     // the historical bug counted classes before routing.
     let problem = all_hold(4, 3, 4);
-    let config = AsyncConfig {
-        link: LinkPolicy::perfect().with_duplication(PPM),
+    let config = VirtualConfig {
+        link: delayed_and_reordered().with_duplication(PPM),
         seed: 11,
-        ..AsyncConfig::default()
+        ..VirtualConfig::default()
     };
-    let report = run_async(agents(4, 0, 3), &problem, &config).expect("runs");
+    let report = run_virtual(agents(4, 0, 3), &problem, &config).expect("runs");
     let m = &report.outcome.metrics;
     assert!(m.termination.is_solved());
     assert_eq!(m.messages_duplicated, m.messages_sent);

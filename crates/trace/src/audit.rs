@@ -8,16 +8,13 @@
 //! * `total_checks` — the sum of every [`TraceEvent::AgentStep`]'s
 //!   check count;
 //! * `maxcck` — the sum over [`TraceEvent::CycleBarrier`]-delimited
-//!   waves of the maximum per-step check count inside each wave (the
-//!   threaded runtime emits no barriers, so its recomputed `maxcck` is
-//!   0 — matching its reported 0: concurrent checks have no wave
-//!   maximum);
+//!   waves of the maximum per-step check count inside each wave;
 //! * every message counter (`Sent` events, `Fault` events by kind) and
 //!   the PR-3 conservation identity
 //!   `total == sent − dropped + duplicated + retransmitted`;
-//! * delivery coverage: on the deterministic runtimes every enqueued
-//!   copy is either delivered in the trace or still in flight at
-//!   `RunEnd`, so one missing `Delivered` event is detected exactly;
+//! * delivery coverage: every enqueued copy is either delivered in the
+//!   trace or still in flight at `RunEnd`, so one missing `Delivered`
+//!   event is detected exactly;
 //! * the learning counters (`nogoods_generated`, `largest_nogood`).
 //!
 //! Structural problems (no `RunEnd`, several of them, an empty trace)
@@ -341,26 +338,11 @@ pub fn audit(events: &[TraceEvent]) -> Result<Audit, AuditError> {
         });
     }
 
-    // Delivery coverage. On the deterministic runtimes every enqueued
-    // copy is either delivered in the trace or still queued at RunEnd;
-    // the threaded runtime tears workers down with copies in channels,
-    // so only the upper bound holds there.
+    // Delivery coverage: every enqueued copy is either delivered in the
+    // trace or still queued at RunEnd.
     let expected_deliveries =
         i128::from(metrics.total_messages()) - i128::from(in_flight);
-    if runtime == RuntimeKind::Async {
-        if i128::from(delivered) > i128::from(metrics.total_messages()) {
-            failures.push(AuditFailure {
-                field: AuditField::DeliveryCoverage,
-                recomputed: i128::from(delivered),
-                reported: i128::from(metrics.total_messages()),
-                message: format!(
-                    "delivered events ({delivered}) exceed the {} messages the link \
-                     layer ever enqueued",
-                    metrics.total_messages(),
-                ),
-            });
-        }
-    } else if i128::from(delivered) != expected_deliveries {
+    if i128::from(delivered) != expected_deliveries {
         failures.push(AuditFailure {
             field: AuditField::DeliveryCoverage,
             recomputed: i128::from(delivered),
@@ -388,9 +370,8 @@ pub fn audit(events: &[TraceEvent]) -> Result<Audit, AuditError> {
         metrics.largest_nogood,
     );
 
-    // No event may claim a cycle after the run ended (coarse async
-    // stamps excepted).
-    if runtime != RuntimeKind::Async && max_event_cycle > end_cycle {
+    // No event may claim a cycle after the run ended.
+    if max_event_cycle > end_cycle {
         failures.push(AuditFailure {
             field: AuditField::EventAfterEnd,
             recomputed: i128::from(max_event_cycle),
@@ -556,6 +537,36 @@ mod tests {
     }
 
     #[test]
+    fn an_event_after_run_end_fails_on_every_runtime() {
+        for kind in [
+            RuntimeKind::Sync,
+            RuntimeKind::Virtual,
+            RuntimeKind::Net,
+            RuntimeKind::Service,
+            RuntimeKind::Sharded,
+        ] {
+            let mut trace = consistent_trace();
+            if let Some(TraceEvent::RunEnd { runtime, .. }) = trace.last_mut() {
+                *runtime = kind;
+            }
+            trace.push(TraceEvent::NogoodForgotten {
+                cycle: 7,
+                agent: AgentId::new(0),
+                count: 1,
+            });
+            let report = audit(&trace).expect("auditable");
+            let late: Vec<_> = report
+                .failures
+                .iter()
+                .filter(|f| f.field == AuditField::EventAfterEnd)
+                .collect();
+            assert_eq!(late.len(), 1, "{kind}: {:?}", report.failures);
+            assert_eq!(late[0].recomputed, 7);
+            assert_eq!(late[0].reported, 3);
+        }
+    }
+
+    #[test]
     fn audit_ignores_event_order() {
         let mut shuffled = consistent_trace();
         shuffled.reverse();
@@ -613,43 +624,5 @@ mod tests {
         let mut two_runs = consistent_trace();
         two_runs.extend(consistent_trace());
         assert_eq!(audit(&two_runs), Err(AuditError::MultipleRunEnd(2)));
-    }
-
-    #[test]
-    fn async_traces_audit_without_barriers() {
-        let a0 = AgentId::new(0);
-        let mut metrics = RunMetrics::new(Termination::Solved);
-        metrics.cycles = 4;
-        metrics.total_checks = 6;
-        metrics.messages_sent = 1;
-        metrics.ok_messages = 1;
-        let events = vec![
-            TraceEvent::AgentStep {
-                cycle: 0,
-                agent: a0,
-                checks: 6,
-            },
-            TraceEvent::Sent {
-                cycle: 0,
-                from: a0,
-                to: a0,
-                class: MessageClass::Ok,
-            },
-            TraceEvent::Delivered {
-                cycle: 1,
-                from: a0,
-                to: a0,
-                class: MessageClass::Ok,
-            },
-            TraceEvent::RunEnd {
-                cycle: 4,
-                runtime: RuntimeKind::Async,
-                in_flight: 0,
-                metrics,
-            },
-        ];
-        let report = audit(&events).expect("auditable");
-        assert!(report.passed(), "failures: {:?}", report.failures);
-        assert_eq!(report.maxcck, 0, "no barriers, no wave maxima");
     }
 }

@@ -47,8 +47,6 @@ pub enum RuntimeKind {
     Sync,
     /// The deterministic discrete-event executor (`run_virtual`).
     Virtual,
-    /// The threads-and-channels runtime (`run_async`).
-    Async,
     /// The multi-process TCP coordinator (`discsp-net`).
     Net,
     /// The multi-session solve service (`discsp-service`), which drives
@@ -66,7 +64,6 @@ impl RuntimeKind {
         match self {
             RuntimeKind::Sync => "sync",
             RuntimeKind::Virtual => "virtual",
-            RuntimeKind::Async => "async",
             RuntimeKind::Net => "net",
             RuntimeKind::Service => "service",
             RuntimeKind::Sharded => "sharded",
@@ -492,9 +489,9 @@ mod tests {
     fn runtime_kinds_have_stable_names() {
         assert_eq!(RuntimeKind::Sync.to_string(), "sync");
         assert_eq!(RuntimeKind::Virtual.to_string(), "virtual");
-        assert_eq!(RuntimeKind::Async.to_string(), "async");
         assert_eq!(RuntimeKind::Net.to_string(), "net");
         assert_eq!(RuntimeKind::Service.to_string(), "service");
+        assert_eq!(RuntimeKind::Sharded.to_string(), "sharded");
     }
 
     #[test]

@@ -507,7 +507,6 @@ fn event_from_object(obj: &BTreeMap<String, Json>) -> Result<TraceEvent, String>
             let runtime = match str_field(obj, "runtime")? {
                 "sync" => RuntimeKind::Sync,
                 "virtual" => RuntimeKind::Virtual,
-                "async" => RuntimeKind::Async,
                 "net" => RuntimeKind::Net,
                 "service" => RuntimeKind::Service,
                 "sharded" => RuntimeKind::Sharded,
@@ -689,6 +688,16 @@ mod tests {
         ] {
             assert!(parse_line(bad).is_err(), "accepted: {bad}");
         }
+    }
+
+    #[test]
+    fn retired_runtime_names_are_rejected() {
+        let end = sample_events().pop().expect("sample ends with run_end");
+        let line = event_to_json(&end);
+        assert!(line.contains("\"runtime\":\"virtual\""), "{line}");
+        let retired = line.replace("\"virtual\"", "\"async\"");
+        let err = parse_line(&retired).expect_err("async is no runtime");
+        assert!(err.message.contains("unknown runtime"), "{}", err.message);
     }
 
     #[test]

@@ -42,7 +42,6 @@ impl Wire for RuntimeKind {
         let tag: u8 = match self {
             RuntimeKind::Sync => 0,
             RuntimeKind::Virtual => 1,
-            RuntimeKind::Async => 2,
             RuntimeKind::Net => 3,
             RuntimeKind::Service => 4,
             RuntimeKind::Sharded => 5,
@@ -54,7 +53,6 @@ impl Wire for RuntimeKind {
         match r.u8("RuntimeKind")? {
             0 => Ok(RuntimeKind::Sync),
             1 => Ok(RuntimeKind::Virtual),
-            2 => Ok(RuntimeKind::Async),
             3 => Ok(RuntimeKind::Net),
             4 => Ok(RuntimeKind::Service),
             5 => Ok(RuntimeKind::Sharded),
@@ -344,10 +342,13 @@ mod tests {
                 ..
             })
         ));
-        assert!(matches!(
-            RuntimeKind::from_bytes(&[9]),
-            Err(WireError::BadTag { .. })
-        ));
+        // Tag 2 is retired, not reused: it fails like any unknown tag.
+        for tag in [2, 9] {
+            assert!(matches!(
+                RuntimeKind::from_bytes(&[tag]),
+                Err(WireError::BadTag { .. })
+            ));
+        }
         assert!(matches!(
             FaultKind::from_bytes(&[9]),
             Err(WireError::BadTag { .. })

@@ -6,8 +6,9 @@
 //! and agents re-announce idempotently. On the deterministic runtime a
 //! `(seed, LinkPolicy)` pair fully determines the run: this example
 //! executes every configuration twice and checks the replays are
-//! bit-identical, then repeats one run on the threaded runtime where
-//! only the outcome (not the interleaving) is reproducible.
+//! bit-identical, then repeats the hostile run on the sharded executor's
+//! worker threads, which must reproduce it exactly as well, and
+//! cross-checks the instance against the synchronous simulator.
 //!
 //! Every run records its event trace, and every trace is audited
 //! in-process: the `discsp-trace` analyzer recomputes `cycle`,
@@ -24,10 +25,9 @@
 
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::time::Duration;
 
 use discsp::prelude::*;
-use discsp::trace::event_to_json;
+use discsp::trace::{event_to_json, RuntimeKind};
 
 fn policies() -> Vec<(&'static str, LinkPolicy)> {
     vec![
@@ -77,6 +77,18 @@ fn audit_and_dump(
         fs::write(dir.join(format!("{label}.jsonl")), text)?;
     }
     Ok(())
+}
+
+/// `trace` with its `RunEnd` stamped as a virtual run's: the one field
+/// in which a sharded trace may differ from its `run_virtual` twin.
+fn stamped_virtual(trace: &[TraceEvent]) -> Vec<TraceEvent> {
+    let mut trace = trace.to_vec();
+    for event in &mut trace {
+        if let TraceEvent::RunEnd { runtime, .. } = event {
+            *runtime = RuntimeKind::Virtual;
+        }
+    }
+    trace
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -195,25 +207,54 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // The threaded runtime under the hostile policy: real concurrency, so
-    // the interleaving differs run to run, but the outcome must not.
-    let (_, link) = policies().pop().expect("nonempty");
-    let config = AsyncConfig {
-        max_wall_time: Duration::from_secs(60),
+    // The hostile policy on two worker threads: real concurrency, yet
+    // the sharded executor must replay its single-threaded twin exactly.
+    let base = VirtualConfig {
         seed: 1,
-        link,
+        link: hostile,
         record_trace: true,
-        ..AsyncConfig::default()
+        ..VirtualConfig::default()
     };
-    let report = awc.solve_async(&problem, &init, &config)?;
+    let report = awc.solve_sharded(&problem, &init, &ShardConfig::with_base(base.clone(), 2))?;
     let m = &report.outcome.metrics;
-    audit_and_dump(&report.trace, m, "awc_async_hostile", trace_dir.as_deref())?;
+    audit_and_dump(
+        &report.trace,
+        m,
+        "awc_sharded_hostile",
+        trace_dir.as_deref(),
+    )?;
+    let twin = awc.solve_virtual(&problem, &init, &base)?;
+    assert_eq!(
+        report.outcome, twin.outcome,
+        "sharded run diverged from its virtual twin"
+    );
+    assert_eq!(report.ticks, twin.ticks);
+    assert_eq!(
+        stamped_virtual(&report.trace),
+        twin.trace,
+        "sharded trace diverged from its virtual twin"
+    );
     println!(
-        "\nthreaded hostile run: {} in {:?} — {} dropped, {} retransmitted, {} nudges",
-        m.termination, report.wall_time, m.messages_dropped, m.messages_retransmitted,
-        report.nudges,
+        "\nsharded hostile run (2 workers): {} in {} ticks — {} dropped, {} retransmitted, \
+         {} nudges, identical to its virtual twin",
+        m.termination, report.ticks, m.messages_dropped, m.messages_retransmitted, report.nudges,
     );
     assert!(m.termination.is_solved());
+
+    // Cross-check on the paper's synchronous simulator: the same
+    // instance is solvable there too, and both answers are solutions.
+    let sync = awc.solve_sync(&problem, &init)?;
+    assert!(
+        sync.outcome.metrics.termination.is_solved(),
+        "sync run unsolved"
+    );
+    for solution in [&sync.outcome.solution, &report.outcome.solution] {
+        assert!(problem.is_solution(solution.as_ref().expect("solved")));
+    }
+    println!(
+        "sync reference: {} in {} cycles",
+        sync.outcome.metrics.termination, sync.outcome.metrics.cycles,
+    );
 
     println!(
         "\nall faulty-link runs solved, every deterministic replay was bit-identical, \

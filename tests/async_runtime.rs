@@ -1,12 +1,27 @@
-//! Integration: the asynchronous runtime solves the same problems as the
-//! synchronous simulator, under varied interleavings.
-
-use std::time::Duration;
+//! Integration: the paper's algorithms on a fully asynchronous system —
+//! messages delayed, reordered, dropped and duplicated by seeded link
+//! policies — solve the same problems as the synchronous simulator.
+//! Every run here is deterministic, so every counter is checked exactly.
 
 use discsp::prelude::*;
+use discsp::runtime::MessageClass;
 
 fn small_coloring() -> DistributedCsp {
     coloring_to_discsp(&paper_coloring(20, 13)).expect("encode")
+}
+
+/// Asynchronous delivery without loss: every copy is delayed 0..=3
+/// ticks and may overtake its predecessors inside a 2-tick window.
+fn reordering() -> LinkPolicy {
+    LinkPolicy::delayed(0, 3).with_reordering(2)
+}
+
+fn reordering_config(seed: u64) -> VirtualConfig {
+    VirtualConfig {
+        seed,
+        link: reordering(),
+        ..VirtualConfig::default()
+    }
 }
 
 #[test]
@@ -15,17 +30,16 @@ fn awc_async_solves_coloring_under_jitter() {
     let init = Assignment::total(vec![Value::new(0); 20]);
     let solver = AwcSolver::new(AwcConfig::resolvent());
     for seed in 0..3u64 {
-        let config = AsyncConfig {
-            max_wall_time: Duration::from_secs(120),
-            jitter_micros: 300,
-            seed,
-            ..AsyncConfig::default()
-        };
-        let report = solver.solve_async(&problem, &init, &config).expect("fits");
+        let report = solver
+            .solve_virtual(&problem, &init, &reordering_config(seed))
+            .expect("fits");
+        let m = &report.outcome.metrics;
+        assert_eq!(m.termination, Termination::Solved, "seed {seed}");
+        assert!(m.max_delivery_delay > 0, "seed {seed}: no copy was delayed");
         assert_eq!(
-            report.outcome.metrics.termination,
-            Termination::Solved,
-            "seed {seed}"
+            m.total_messages(),
+            m.messages_sent,
+            "seed {seed}: lossless link"
         );
         let solution = report.outcome.solution.expect("solved");
         assert!(problem.is_solution(&solution));
@@ -38,16 +52,11 @@ fn awc_async_solves_unique_sat() {
     let instance = paper_one_sat3(12, 4);
     let problem = cnf_to_discsp(&instance.cnf).expect("encode");
     let init = Assignment::total(vec![Value::FALSE; 12]);
-    // Generous wall limit (one shared core under `cargo test`), and the
-    // *unrestricted* resolvent configuration: size-bounded recording is
-    // incomplete, so under adversarial asynchronous interleavings it can
+    // The *unrestricted* resolvent configuration: size-bounded recording
+    // is incomplete, so under adversarial interleavings it can
     // legitimately fail to terminate — not a property to assert against.
-    let config = AsyncConfig {
-        max_wall_time: Duration::from_secs(120),
-        ..AsyncConfig::default()
-    };
     let report = AwcSolver::new(AwcConfig::resolvent())
-        .solve_async(&problem, &init, &config)
+        .solve_virtual(&problem, &init, &reordering_config(0))
         .expect("fits");
     assert_eq!(report.outcome.metrics.termination, Termination::Solved);
     assert_eq!(
@@ -60,12 +69,8 @@ fn awc_async_solves_unique_sat() {
 fn db_async_solves_coloring() {
     let problem = small_coloring();
     let init = Assignment::total(vec![Value::new(0); 20]);
-    let config = AsyncConfig {
-        max_wall_time: Duration::from_secs(120),
-        ..AsyncConfig::default()
-    };
     let report = DbaSolver::new()
-        .solve_async(&problem, &init, &config)
+        .solve_virtual(&problem, &init, &reordering_config(0))
         .expect("fits");
     assert_eq!(report.outcome.metrics.termination, Termination::Solved);
     assert!(problem.is_solution(&report.outcome.solution.expect("solved")));
@@ -75,17 +80,33 @@ fn db_async_solves_coloring() {
 fn async_message_counts_are_plausible() {
     let problem = small_coloring();
     let init = Assignment::total(vec![Value::new(0); 20]);
-    let config = AsyncConfig {
-        max_wall_time: Duration::from_secs(120),
-        ..AsyncConfig::default()
+    let config = VirtualConfig {
+        record_trace: true,
+        ..reordering_config(0)
     };
     let report = AwcSolver::new(AwcConfig::resolvent())
-        .solve_async(&problem, &init, &config)
+        .solve_virtual(&problem, &init, &config)
         .expect("fits");
     let m = &report.outcome.metrics;
     // Every agent announces to each neighbor at start; the coloring
-    // instance has 54 arcs → at least 108 initial ok? messages.
+    // instance has 54 arcs → exactly 108 initial ok? messages.
+    let announced = report
+        .trace
+        .iter()
+        .filter(|e| {
+            matches!(
+                e,
+                TraceEvent::Sent {
+                    cycle: 0,
+                    class: MessageClass::Ok,
+                    ..
+                }
+            )
+        })
+        .count();
+    assert_eq!(announced, 108);
     assert!(m.ok_messages >= 108, "ok messages {}", m.ok_messages);
+    assert_eq!(m.total_messages(), m.messages_sent);
     assert!(m.total_checks > 0);
 }
 
@@ -167,29 +188,29 @@ fn virtual_faulty_runs_replay_bit_identically() {
 
 #[test]
 fn awc_async_solves_coloring_over_faulty_links() {
-    // Robustness of the *threaded* runtime under the same policy: the
-    // interleaving is not reproducible, but the outcome and the counter
-    // inequalities must hold on every run.
+    // Robustness on real threads under the same policy: the sharded
+    // executor must solve, keep the enqueued-copies identity exact, and
+    // replay its single-threaded twin bit for bit.
     let problem = small_coloring();
     let init = Assignment::total(vec![Value::new(0); 20]);
-    let config = AsyncConfig {
-        max_wall_time: Duration::from_secs(120),
+    let base = VirtualConfig {
         seed: 7,
         link: faulty(),
-        ..AsyncConfig::default()
+        ..VirtualConfig::default()
     };
-    let report = AwcSolver::new(AwcConfig::resolvent())
-        .solve_async(&problem, &init, &config)
+    let solver = AwcSolver::new(AwcConfig::resolvent());
+    let report = solver
+        .solve_sharded(&problem, &init, &ShardConfig::with_base(base.clone(), 2))
         .expect("fits");
     let m = &report.outcome.metrics;
     assert_eq!(m.termination, Termination::Solved);
     assert!(problem.is_solution(&report.outcome.solution.clone().expect("solved")));
-    // Sends racing shutdown are discarded uncounted, hence ≤ rather
-    // than the deterministic runtime's equality.
-    assert!(
-        m.total_messages()
-            <= m.messages_sent - m.messages_dropped + m.messages_duplicated
-                + m.messages_retransmitted,
-        "class counters may only undercount enqueued copies"
+    assert_eq!(
+        m.total_messages(),
+        m.messages_sent - m.messages_dropped + m.messages_duplicated + m.messages_retransmitted,
+        "enqueued-copies identity"
     );
+    let twin = solver.solve_virtual(&problem, &init, &base).expect("fits");
+    assert_eq!(report.outcome, twin.outcome);
+    assert_eq!(report.ticks, twin.ticks);
 }

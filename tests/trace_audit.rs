@@ -10,7 +10,6 @@
 //! actually catches corruption by deleting a single `Delivered` event.
 
 use discsp::prelude::*;
-use discsp_runtime::AsyncConfig;
 use discsp_trace::{audit, event_to_json, parse_trace, summarize, TraceEvent};
 
 fn ring(n: usize) -> DistributedCsp {
@@ -143,22 +142,24 @@ fn virtual_lossy_sweep_audits_exactly_for_both_algorithms() {
 }
 
 #[test]
-fn async_lossy_trace_is_auditable() {
+fn sharded_lossy_trace_is_auditable() {
     let n = 5;
     let problem = ring(n);
     let init = all_zero(n);
-    let config = AsyncConfig {
+    let base = VirtualConfig {
         seed: 9,
         link: LinkPolicy::lossy(300_000).with_delay(0, 2),
         record_trace: true,
-        max_wall_time: std::time::Duration::from_secs(60),
-        ..AsyncConfig::default()
+        ..VirtualConfig::default()
     };
     let report = AwcSolver::new(AwcConfig::resolvent())
-        .solve_async(&problem, &init, &config)
-        .expect("async lossy run");
-    assert!(!report.trace.is_empty(), "async run must surface its trace");
-    assert_audit_exact(&report.trace, &report.outcome.metrics, "async awc");
+        .solve_sharded(&problem, &init, &ShardConfig::with_base(base, 2))
+        .expect("sharded lossy run");
+    assert!(
+        !report.trace.is_empty(),
+        "sharded run must surface its trace"
+    );
+    assert_audit_exact(&report.trace, &report.outcome.metrics, "sharded awc");
 }
 
 #[test]
