@@ -464,7 +464,13 @@ impl AwcAgent {
         candidates
             .iter()
             .copied()
-            .map(|v| (self.charged_violated_among(indices, v).len(), distance(v), v))
+            .map(|v| {
+                (
+                    self.charged_violated_among(indices, v).len(),
+                    distance(v),
+                    v,
+                )
+            })
             .min_by_key(|&(violations, dist, _)| (violations, dist))
             .map(|(_, _, v)| v)
             .unwrap_or(self.value)

@@ -225,8 +225,7 @@ fn bench_incremental_query(c: &mut Criterion) {
         // clear them so the next variant starts from a clean slate.
         store.take_checks();
 
-        let mut rescan_values: Vec<Value> =
-            (0..vars).map(|v| Value::new((v % 3) as u16)).collect();
+        let mut rescan_values: Vec<Value> = (0..vars).map(|v| Value::new((v % 3) as u16)).collect();
         let mut rescan = RescanEval::new(own, &store, &rescan_values, 3);
         let mut flip = 0u16;
         group.bench_with_input(BenchmarkId::new("rescan", size), &store, |bench, store| {
@@ -356,7 +355,13 @@ fn write_snapshot(c: &Criterion) {
         section(snapshot_rows(SNAPSHOT, "before")),
         section(after),
     );
-    push_speedups(&mut json, ms, "speedup_indexed_over_naive", "naive", "indexed");
+    push_speedups(
+        &mut json,
+        ms,
+        "speedup_indexed_over_naive",
+        "naive",
+        "indexed",
+    );
     json.push_str(",\n");
     push_speedups(
         &mut json,
@@ -368,7 +373,8 @@ fn write_snapshot(c: &Criterion) {
     json.push_str("\n}\n");
 
     let mut f = std::fs::File::create(SNAPSHOT).expect("create BENCH_store.json");
-    f.write_all(json.as_bytes()).expect("write BENCH_store.json");
+    f.write_all(json.as_bytes())
+        .expect("write BENCH_store.json");
     println!("[wrote {SNAPSHOT}]");
 }
 

@@ -152,8 +152,7 @@ pub fn run_cell_with_jobs(
     // Dynamic work claiming: trial runtimes vary wildly (some hit the
     // cycle limit), so static chunking would leave workers idle.
     let next = AtomicUsize::new(0);
-    let results: Vec<Mutex<Option<RunMetrics>>> =
-        trials.iter().map(|_| Mutex::new(None)).collect();
+    let results: Vec<Mutex<Option<RunMetrics>>> = trials.iter().map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| loop {

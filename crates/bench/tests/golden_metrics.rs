@@ -49,7 +49,8 @@ fn observed(family: Family, n: u32, algorithm: Algorithm) -> Vec<Golden> {
 fn check(family: Family, n: u32, algorithm: Algorithm, golden: &[Golden]) {
     let observed = observed(family, n, algorithm);
     assert_eq!(
-        observed, golden,
+        observed,
+        golden,
         "metric drift on {family:?} n={n} {}: the reproduction changed, \
          not just its wall-clock speed",
         algorithm.label()

@@ -1512,8 +1512,8 @@ mod tests {
         store.bump_activity(0); // slot 0 activity 3, slot 1 activity 1
         store.insert_learned(pair(2, 0, 3, 0)); // slot 2, activity 1
         assert_eq!(store.forget(2), vec![1]); // coldest + oldest
-        // Decay halved survivors (3 -> 1, 1 -> 0). A fresh insert at
-        // activity 1 now outranks slot 2 (decayed to 0).
+                                              // Decay halved survivors (3 -> 1, 1 -> 0). A fresh insert at
+                                              // activity 1 now outranks slot 2 (decayed to 0).
         store.insert_learned(pair(4, 0, 5, 0)); // reuses slot 1
         assert_eq!(store.forget(2), vec![2]);
     }

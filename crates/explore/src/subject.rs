@@ -151,7 +151,14 @@ impl Subject {
     pub fn coloring(algo: Algo, agents: u32, instance_seed: u64) -> Result<Subject, String> {
         let inst = paper_coloring(agents, instance_seed);
         let problem = coloring_to_discsp(&inst).map_err(|e| e.to_string())?;
-        Subject::assemble(algo, Instance::Coloring { agents, seed: instance_seed }, problem)
+        Subject::assemble(
+            algo,
+            Instance::Coloring {
+                agents,
+                seed: instance_seed,
+            },
+            problem,
+        )
     }
 
     /// Builds a subject on K₄ with 3 colors (insoluble).
@@ -183,8 +190,15 @@ impl Subject {
         }
     }
 
-    fn assemble(algo: Algo, instance: Instance, problem: DistributedCsp) -> Result<Subject, String> {
-        let truth = match Backtracker::new(&problem).node_limit(TRUTH_NODE_LIMIT).solve() {
+    fn assemble(
+        algo: Algo,
+        instance: Instance,
+        problem: DistributedCsp,
+    ) -> Result<Subject, String> {
+        let truth = match Backtracker::new(&problem)
+            .node_limit(TRUTH_NODE_LIMIT)
+            .solve()
+        {
             SolveResult::Solution(_) => GroundTruth::Solvable,
             SolveResult::Unsatisfiable => GroundTruth::Insoluble,
             SolveResult::LimitReached => GroundTruth::Unknown,
@@ -228,7 +242,11 @@ impl Subject {
     /// # Errors
     ///
     /// Propagates solver-construction and runtime failures as strings.
-    pub fn run_on(&self, runtime: Runtime, config: &VirtualConfig) -> Result<VirtualReport, String> {
+    pub fn run_on(
+        &self,
+        runtime: Runtime,
+        config: &VirtualConfig,
+    ) -> Result<VirtualReport, String> {
         let algo = match self.algo {
             Algo::Awc => AlgoSpec::Awc(AwcConfig::no_learning()),
             Algo::AwcRslv => AlgoSpec::Awc(AwcConfig::resolvent()),
@@ -256,11 +274,19 @@ impl Subject {
                 .solve_virtual(problem, init, config)
                 .map_err(|e| e.to_string())?,
             (Runtime::Sharded(workers), AlgoSpec::Awc(awc)) => AwcSolver::new(awc)
-                .solve_sharded(problem, init, &ShardConfig::with_base(config.clone(), workers))
+                .solve_sharded(
+                    problem,
+                    init,
+                    &ShardConfig::with_base(config.clone(), workers),
+                )
                 .map_err(|e| e.to_string())?,
             (Runtime::Sharded(workers), AlgoSpec::Dba(mode)) => DbaSolver::new()
                 .weight_mode(mode)
-                .solve_sharded(problem, init, &ShardConfig::with_base(config.clone(), workers))
+                .solve_sharded(
+                    problem,
+                    init,
+                    &ShardConfig::with_base(config.clone(), workers),
+                )
                 .map_err(|e| e.to_string())?,
         };
         if self.sabotage == Sabotage::UnderreportDuplicates {
@@ -327,7 +353,9 @@ mod tests {
     fn every_runtime_reports_the_same_run() {
         let config = VirtualConfig {
             seed: 4,
-            link: LinkPolicy::lossy(150_000).with_duplication(100_000).with_delay(0, 2),
+            link: LinkPolicy::lossy(150_000)
+                .with_duplication(100_000)
+                .with_delay(0, 2),
             record_trace: true,
             ..VirtualConfig::default()
         };
@@ -337,8 +365,15 @@ mod tests {
             for runtime in [Runtime::Sharded(1), Runtime::Sharded(3), Runtime::Service] {
                 let other = s.run_on(runtime, &config).unwrap();
                 assert_eq!(other.outcome, reference.outcome, "{algo} on {runtime:?}");
-                assert_eq!(other.fault_log, reference.fault_log, "{algo} on {runtime:?}");
-                assert_eq!(other.trace.len(), reference.trace.len(), "{algo} on {runtime:?}");
+                assert_eq!(
+                    other.fault_log, reference.fault_log,
+                    "{algo} on {runtime:?}"
+                );
+                assert_eq!(
+                    other.trace.len(),
+                    reference.trace.len(),
+                    "{algo} on {runtime:?}"
+                );
             }
         }
     }
@@ -347,7 +382,9 @@ mod tests {
     fn sabotage_underreports_exactly_one_duplicate() {
         let s = Subject::coloring(Algo::AwcRslv, 10, 3).unwrap();
         let config = VirtualConfig {
-            link: LinkPolicy::perfect().with_duplication(400_000).with_delay(0, 2),
+            link: LinkPolicy::perfect()
+                .with_duplication(400_000)
+                .with_delay(0, 2),
             record_trace: true,
             ..VirtualConfig::default()
         };

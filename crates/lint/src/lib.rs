@@ -173,10 +173,7 @@ pub fn analyze_workspace(root: &Path) -> WorkspaceReport {
         Ok(text) => Some(text),
         Err(_) if !wire_props_path.exists() => None,
         Err(e) => {
-            internal_errors.push(format!(
-                "cannot read {}: {e}",
-                wrules::WIRE_PROPS_FILE
-            ));
+            internal_errors.push(format!("cannot read {}: {e}", wrules::WIRE_PROPS_FILE));
             None
         }
     };
@@ -197,8 +194,10 @@ pub fn analyze_workspace(root: &Path) -> WorkspaceReport {
                 .map(move |a| (rel.clone(), a))
         })
         .collect();
-    let used: Vec<std::cell::Cell<bool>> =
-        annotations.iter().map(|_| std::cell::Cell::new(false)).collect();
+    let used: Vec<std::cell::Cell<bool>> = annotations
+        .iter()
+        .map(|_| std::cell::Cell::new(false))
+        .collect();
     for (rule, finding) in candidates {
         let exempted = annotations.iter().enumerate().find(|(_, (rel, a))| {
             a.rule == rule && *rel == finding.path && a.target_line == finding.line
@@ -235,7 +234,8 @@ pub fn analyze_workspace(root: &Path) -> WorkspaceReport {
         }
     }
     findings.extend(allowlist.unused_entries());
-    findings.sort_by(|a, b| (&a.path, a.line, a.col, a.rule).cmp(&(&b.path, b.line, b.col, b.rule)));
+    findings
+        .sort_by(|a, b| (&a.path, a.line, a.col, a.rule).cmp(&(&b.path, b.line, b.col, b.rule)));
     timings.push(("workspace rules", t.elapsed()));
 
     WorkspaceReport {

@@ -147,10 +147,8 @@ pub const D2_EXEMPT_NET_TRANSPORT: &[&str] = &["crates/net/src/transport.rs"];
 /// number). Everything underneath — session drivers, the table, the
 /// sweep scheduler — reasons purely in sweeps and virtual ticks and
 /// stays under D2.
-pub const D2_EXEMPT_SERVICE_REALTIME: &[&str] = &[
-    "crates/service/src/server.rs",
-    "crates/service/src/main.rs",
-];
+pub const D2_EXEMPT_SERVICE_REALTIME: &[&str] =
+    &["crates/service/src/server.rs", "crates/service/src/main.rs"];
 
 /// Maps a workspace-relative path to the rules that apply to it.
 ///
@@ -347,7 +345,9 @@ fn parse_annotations(tokens: &[Token], rel_path: &str) -> (Vec<Annotation>, Vec<
         };
         let rest = tok.text[at + "lint:".len()..].trim_start();
         let Some(name_and_rest) = rest.strip_prefix("allow(") else {
-            findings.push(a0("malformed lint annotation: expected `allow(<name>)`".to_string()));
+            findings.push(a0(
+                "malformed lint annotation: expected `allow(<name>)`".to_string()
+            ));
             continue;
         };
         let Some(close) = name_and_rest.find(')') else {
@@ -489,7 +489,13 @@ fn skip_item(toks: &[&Token], mut i: usize) -> usize {
     i
 }
 
-fn finding(rule: Rule, path: &str, tok: &Token, lines: &[&str], message: String) -> (Rule, Finding) {
+fn finding(
+    rule: Rule,
+    path: &str,
+    tok: &Token,
+    lines: &[&str],
+    message: String,
+) -> (Rule, Finding) {
     (
         rule,
         Finding {
@@ -516,7 +522,10 @@ fn check_d1(path: &str, code: &[&Token], lines: &[&str], out: &mut Vec<(Rule, Fi
                 path,
                 t,
                 lines,
-                format!("iteration-order-unstable collection `{}` in deterministic code", t.text),
+                format!(
+                    "iteration-order-unstable collection `{}` in deterministic code",
+                    t.text
+                ),
             ));
         }
     }
@@ -655,9 +664,8 @@ fn check_p1(path: &str, code: &[&Token], lines: &[&str], out: &mut Vec<(Rule, Fi
                 ));
             }
         } else if t.text == "[" {
-            let indexee = prev.is_some_and(|p| {
-                p.kind == TokenKind::Ident || p.text == ")" || p.text == "]"
-            });
+            let indexee =
+                prev.is_some_and(|p| p.kind == TokenKind::Ident || p.text == ")" || p.text == "]");
             if indexee
                 && next.is_some_and(|n| n.kind == TokenKind::Number)
                 && next2.is_some_and(|n| n.text == "]")
@@ -782,7 +790,9 @@ mod tests {
     fn allow_without_justification_is_a0_error() {
         let src = "// lint: allow(unordered)\nstruct S { a: HashMap<u64, u8> }\n";
         let fs = run(&[Rule::D1], src);
-        assert!(fs.iter().any(|f| f.rule == "A0" && f.severity == Severity::Error));
+        assert!(fs
+            .iter()
+            .any(|f| f.rule == "A0" && f.severity == Severity::Error));
         assert!(fs.iter().any(|f| f.rule == "D1"));
     }
 
@@ -856,7 +866,10 @@ mod tests {
                    }\n";
         let fs = run(&[Rule::P1], src);
         assert_eq!(codes(&fs), vec!["P1", "P1", "P1", "P1"]);
-        assert_eq!(fs.iter().map(|f| f.line).collect::<Vec<_>>(), vec![2, 3, 4, 5]);
+        assert_eq!(
+            fs.iter().map(|f| f.line).collect::<Vec<_>>(),
+            vec![2, 3, 4, 5]
+        );
         assert!(fs[0].message.contains("range-slicing"), "{}", fs[0].message);
     }
 
@@ -899,7 +912,10 @@ mod tests {
             rules_for("crates/awc/src/agent.rs"),
             vec![Rule::D1, Rule::D2, Rule::M1, Rule::P1]
         );
-        assert_eq!(rules_for("crates/awc/src/solver.rs"), vec![Rule::D1, Rule::D2, Rule::M1]);
+        assert_eq!(
+            rules_for("crates/awc/src/solver.rs"),
+            vec![Rule::D1, Rule::D2, Rule::M1]
+        );
         assert_eq!(
             rules_for("crates/runtime/src/sync.rs"),
             vec![Rule::D1, Rule::D2, Rule::P1]
@@ -915,7 +931,10 @@ mod tests {
             rules_for("crates/runtime/src/pool.rs"),
             vec![Rule::D1, Rule::D2, Rule::P1]
         );
-        assert_eq!(rules_for("crates/cspsolve/src/backtrack.rs"), vec![Rule::D1]);
+        assert_eq!(
+            rules_for("crates/cspsolve/src/backtrack.rs"),
+            vec![Rule::D1]
+        );
         assert_eq!(rules_for("crates/probgen/src/lib.rs"), vec![Rule::D1]);
         assert_eq!(rules_for("crates/lint/src/main.rs"), Vec::<Rule>::new());
         // Protocol paths in the net crate are determinism- and
@@ -925,7 +944,10 @@ mod tests {
             rules_for("crates/net/src/coordinator.rs"),
             vec![Rule::D1, Rule::D2, Rule::P1]
         );
-        assert_eq!(rules_for("crates/net/src/main.rs"), vec![Rule::D1, Rule::D2]);
+        assert_eq!(
+            rules_for("crates/net/src/main.rs"),
+            vec![Rule::D1, Rule::D2]
+        );
         // The trace crate is a metrics auditor: determinism- and
         // panic-policed like the runtime, with the same main.rs carve-out
         // for the CLI's loud exits.
@@ -933,7 +955,10 @@ mod tests {
             rules_for("crates/trace/src/audit.rs"),
             vec![Rule::D1, Rule::D2, Rule::P1]
         );
-        assert_eq!(rules_for("crates/trace/src/main.rs"), vec![Rule::D1, Rule::D2]);
+        assert_eq!(
+            rules_for("crates/trace/src/main.rs"),
+            vec![Rule::D1, Rule::D2]
+        );
         // The explorer judges runs and minimizes schedules: ordered
         // containers and virtual time only, panic-policed library code,
         // with the usual main.rs carve-out for the CLI.
@@ -971,7 +996,11 @@ mod tests {
         // wave engine get the full runtime rule set.
         for policed in ["link.rs", "engine.rs"] {
             let path = format!("crates/runtime/src/{policed}");
-            assert_eq!(rules_for(&path), vec![Rule::D1, Rule::D2, Rule::P1], "{path}");
+            assert_eq!(
+                rules_for(&path),
+                vec![Rule::D1, Rule::D2, Rule::P1],
+                "{path}"
+            );
         }
     }
 
@@ -984,7 +1013,13 @@ mod tests {
             rules_for("crates/net/src/transport.rs"),
             vec![Rule::D1, Rule::P1]
         );
-        for policed in ["coordinator.rs", "endpoint.rs", "frame.rs", "solve.rs", "lib.rs"] {
+        for policed in [
+            "coordinator.rs",
+            "endpoint.rs",
+            "frame.rs",
+            "solve.rs",
+            "lib.rs",
+        ] {
             let path = format!("crates/net/src/{policed}");
             assert!(rules_for(&path).contains(&Rule::D2), "{path} must keep D2");
         }

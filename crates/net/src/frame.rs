@@ -408,7 +408,10 @@ mod tests {
         for frame in frames {
             let bytes = frame.to_bytes();
             assert_eq!(bytes.first(), Some(&WIRE_VERSION));
-            assert_eq!(RunFrame::<AwcMessage>::from_bytes(&bytes).as_ref(), Ok(&frame));
+            assert_eq!(
+                RunFrame::<AwcMessage>::from_bytes(&bytes).as_ref(),
+                Ok(&frame)
+            );
         }
     }
 
@@ -459,7 +462,10 @@ mod tests {
 
         let run = Mux::new(42, RunFrame::<AwcMessage>::Nudge { tick: 9 });
         let bytes = run.to_bytes();
-        assert_eq!(Mux::<RunFrame<AwcMessage>>::from_bytes(&bytes).as_ref(), Ok(&run));
+        assert_eq!(
+            Mux::<RunFrame<AwcMessage>>::from_bytes(&bytes).as_ref(),
+            Ok(&run)
+        );
     }
 
     #[test]

@@ -50,8 +50,7 @@ mod transport;
 pub use coordinator::run_session;
 pub use endpoint::run_agent;
 pub use frame::{
-    Mux, MuxWire, RunFrame, SetupFrame, MAX_FRAME_LEN, MIN_WIRE_VERSION, SESSION_NONE,
-    WIRE_VERSION,
+    Mux, MuxWire, RunFrame, SetupFrame, MAX_FRAME_LEN, MIN_WIRE_VERSION, SESSION_NONE, WIRE_VERSION,
 };
 pub use service::{RejectReason, ServiceFrame, SessionOutcome, SubmitSpec};
 pub use solve::{AgentLaunch, SolveNet};
@@ -185,7 +184,10 @@ impl fmt::Display for NetError {
             NetError::Io { context, error } => write!(f, "i/o failure while {context}: {error}"),
             NetError::Wire(e) => write!(f, "wire codec error: {e}"),
             NetError::FrameTooLong { len } => {
-                write!(f, "frame of {len} bytes exceeds the {MAX_FRAME_LEN}-byte limit")
+                write!(
+                    f,
+                    "frame of {len} bytes exceeds the {MAX_FRAME_LEN}-byte limit"
+                )
             }
             NetError::UnexpectedFrame { expected } => {
                 write!(f, "unexpected frame: expected {expected}")
@@ -212,7 +214,10 @@ impl fmt::Display for NetError {
                 write!(f, "two agents claimed index {index}")
             }
             NetError::WrongVariableCount { agent, count } => {
-                write!(f, "agent {agent} owns {count} variables; expected exactly 1")
+                write!(
+                    f,
+                    "agent {agent} owns {count} variables; expected exactly 1"
+                )
             }
             NetError::BadInitialValue { var } => {
                 write!(f, "initial value for {var} is missing or out of domain")

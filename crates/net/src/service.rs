@@ -22,9 +22,7 @@
 
 use std::fmt;
 
-use discsp_core::{
-    AgentId, Assignment, Domain, Nogood, RunMetrics, Wire, WireError, WireReader,
-};
+use discsp_core::{AgentId, Assignment, Domain, Nogood, RunMetrics, Wire, WireError, WireReader};
 use discsp_runtime::LinkPolicy;
 use discsp_trace::TraceEvent;
 

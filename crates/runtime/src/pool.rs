@@ -172,8 +172,7 @@ impl ShardPlan {
         let mut placement = vec![(0u32, 0u32); n];
         for (deal, &agent) in perm.iter().enumerate() {
             let shard = deal % workers;
-            if let (Some(bucket), Some(place)) =
-                (members.get_mut(shard), placement.get_mut(agent))
+            if let (Some(bucket), Some(place)) = (members.get_mut(shard), placement.get_mut(agent))
             {
                 *place = (shard as u32, bucket.len() as u32);
                 bucket.push(agent);

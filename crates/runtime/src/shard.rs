@@ -85,10 +85,7 @@ enum Job<M> {
     /// Run `on_nudge` for every agent in the shard.
     Nudge { tick: u64 },
     /// Deliver inbox batches: `(slot, messages)` pairs.
-    Batch {
-        tick: u64,
-        inboxes: SlotInboxes<M>,
-    },
+    Batch { tick: u64, inboxes: SlotInboxes<M> },
     /// Report leftover checks and stats; the shard empties.
     Finish,
 }

@@ -1,9 +1,7 @@
 //! Integration tests driving the runtimes with a purpose-built
 //! protocol: distributed maximum agreement over a line graph.
 
-use discsp_core::{
-    AgentId, DistributedCsp, Domain, Nogood, Value, VarValue, VariableId,
-};
+use discsp_core::{AgentId, DistributedCsp, Domain, Nogood, Value, VarValue, VariableId};
 use discsp_runtime::{
     run_sharded, run_virtual, AgentStats, Classify, DistributedAgent, Envelope, LinkPolicy,
     MessageClass, Outbox, RuntimeError, ShardConfig, SyncSimulator, VirtualConfig, PPM,
@@ -331,7 +329,9 @@ fn virtual_run_reports_unknown_recipient() {
 #[test]
 fn virtual_run_solves_under_faults_with_exact_identity() {
     let problem = all_hold(6, 9, 10);
-    let policy = LinkPolicy::lossy(100_000).with_delay(0, 2).with_reordering(2);
+    let policy = LinkPolicy::lossy(100_000)
+        .with_delay(0, 2)
+        .with_reordering(2);
     let config = VirtualConfig {
         seed: 21,
         link: policy,

@@ -93,7 +93,9 @@ pub enum ServiceError {
 impl fmt::Display for ServiceError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ServiceError::Overloaded => f.write_str("service overloaded: global session budget exhausted"),
+            ServiceError::Overloaded => {
+                f.write_str("service overloaded: global session budget exhausted")
+            }
             ServiceError::Draining => f.write_str("service draining: no new sessions admitted"),
             ServiceError::DuplicateSession { id } => {
                 write!(f, "session {id} is already live")
@@ -101,7 +103,10 @@ impl fmt::Display for ServiceError {
             ServiceError::UnknownSession { id } => write!(f, "no live session {id}"),
             ServiceError::BadSpec { detail } => write!(f, "bad session spec: {detail}"),
             ServiceError::RestoreDiverged { wave } => {
-                write!(f, "snapshot replay diverged from the recorded log at wave {wave}")
+                write!(
+                    f,
+                    "snapshot replay diverged from the recorded log at wave {wave}"
+                )
             }
             ServiceError::Runtime(e) => write!(f, "session runtime error: {e}"),
             ServiceError::Net(e) => write!(f, "service transport error: {e}"),

@@ -23,8 +23,7 @@ use std::time::Duration;
 
 use discsp_core::DistributedCsp;
 use discsp_net::{
-    FrameConn, Mux, NetError, RejectReason, ServiceFrame, SessionOutcome, SubmitSpec,
-    SESSION_NONE,
+    FrameConn, Mux, NetError, RejectReason, ServiceFrame, SessionOutcome, SubmitSpec, SESSION_NONE,
 };
 use discsp_runtime::VirtualConfig;
 

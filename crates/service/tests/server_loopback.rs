@@ -16,18 +16,9 @@ use discsp_service::{serve, ServeOptions, ServiceClient, ServiceError};
 /// mixed workload.
 fn submit_spec(index: u64) -> SubmitSpec {
     let (algo, link) = match index % 3 {
-        0 => (
-            AlgoSpec::Awc(AwcConfig::resolvent()),
-            LinkPolicy::perfect(),
-        ),
-        1 => (
-            AlgoSpec::Dba(WeightMode::PerNogood),
-            LinkPolicy::perfect(),
-        ),
-        _ => (
-            AlgoSpec::Awc(AwcConfig::mcs()),
-            LinkPolicy::lossy(20_000),
-        ),
+        0 => (AlgoSpec::Awc(AwcConfig::resolvent()), LinkPolicy::perfect()),
+        1 => (AlgoSpec::Dba(WeightMode::PerNogood), LinkPolicy::perfect()),
+        _ => (AlgoSpec::Awc(AwcConfig::mcs()), LinkPolicy::lossy(20_000)),
     };
     let instance = paper_coloring(10, 500 + index);
     let problem = coloring_to_discsp(&instance).expect("coloring encodes");
@@ -54,7 +45,9 @@ fn many_sessions_multiplex_over_one_connection_and_drain_cleanly() {
     // Submit a batch of sessions up front on the single connection.
     const SESSIONS: u64 = 9;
     for index in 0..SESSIONS {
-        client.submit(index + 1, &submit_spec(index)).expect("submit accepted");
+        client
+            .submit(index + 1, &submit_spec(index))
+            .expect("submit accepted");
     }
 
     // Drain over the wire: the service finishes every in-flight session
@@ -92,7 +85,9 @@ fn duplicate_and_reserved_ids_are_refused_with_typed_errors() {
     let handle = serve(listener, options).expect("serve");
     let mut client = ServiceClient::connect(handle.addr()).expect("connect");
 
-    client.submit(1, &submit_spec(0)).expect("first submit parks");
+    client
+        .submit(1, &submit_spec(0))
+        .expect("first submit parks");
     assert!(matches!(
         client.submit(1, &submit_spec(1)),
         Err(ServiceError::DuplicateSession { id: 1 })
@@ -117,7 +112,9 @@ fn results_can_be_claimed_out_of_submission_order() {
     let mut client = ServiceClient::connect(handle.addr()).expect("connect");
 
     for index in 0..4u64 {
-        client.submit(index + 1, &submit_spec(index)).expect("submit");
+        client
+            .submit(index + 1, &submit_spec(index))
+            .expect("submit");
     }
     // Claim in reverse: the client stashes whatever arrives first.
     for id in (1..=4u64).rev() {

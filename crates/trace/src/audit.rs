@@ -49,7 +49,10 @@ impl fmt::Display for AuditError {
                 f.write_str("trace has no run_end event; cannot audit without reported metrics")
             }
             AuditError::MultipleRunEnd(count) => {
-                write!(f, "trace has {count} run_end events; audit one run at a time")
+                write!(
+                    f,
+                    "trace has {count} run_end events; audit one run at a time"
+                )
             }
         }
     }
@@ -280,12 +283,22 @@ pub fn audit(events: &[TraceEvent]) -> Result<Audit, AuditError> {
     let mut failures = Vec::new();
 
     // The paper's two headline counters plus the raw check total.
-    mismatch(&mut failures, AuditField::TotalChecks, total_checks, metrics.total_checks);
+    mismatch(
+        &mut failures,
+        AuditField::TotalChecks,
+        total_checks,
+        metrics.total_checks,
+    );
     mismatch(&mut failures, AuditField::Maxcck, maxcck, metrics.maxcck);
     mismatch(&mut failures, AuditField::Cycle, end_cycle, metrics.cycles);
 
     // Message accounting: the trace must explain every counter.
-    mismatch(&mut failures, AuditField::MessagesSent, sent, metrics.messages_sent);
+    mismatch(
+        &mut failures,
+        AuditField::MessagesSent,
+        sent,
+        metrics.messages_sent,
+    );
     mismatch(
         &mut failures,
         AuditField::MessagesDropped,
@@ -340,8 +353,7 @@ pub fn audit(events: &[TraceEvent]) -> Result<Audit, AuditError> {
 
     // Delivery coverage: every enqueued copy is either delivered in the
     // trace or still queued at RunEnd.
-    let expected_deliveries =
-        i128::from(metrics.total_messages()) - i128::from(in_flight);
+    let expected_deliveries = i128::from(metrics.total_messages()) - i128::from(in_flight);
     if i128::from(delivered) != expected_deliveries {
         failures.push(AuditFailure {
             field: AuditField::DeliveryCoverage,
@@ -604,7 +616,11 @@ mod tests {
             }
         }
         let report = audit(&corrupted).expect("auditable");
-        assert!(report.failed(AuditField::TotalChecks), "{:?}", report.failures);
+        assert!(
+            report.failed(AuditField::TotalChecks),
+            "{:?}",
+            report.failures
+        );
         assert!(report.failed(AuditField::Maxcck), "{:?}", report.failures);
         let checks = report
             .failures

@@ -376,7 +376,9 @@ fn nullable_num_field(obj: &BTreeMap<String, Json>, key: &str) -> Result<Option<
     match obj.get(key) {
         Some(Json::Num(n)) => Ok(Some(*n)),
         Some(Json::Null) => Ok(None),
-        Some(_) => Err(format!("field \"{key}\" must be an unsigned integer or null")),
+        Some(_) => Err(format!(
+            "field \"{key}\" must be an unsigned integer or null"
+        )),
         None => Err(format!("missing field \"{key}\"")),
     }
 }

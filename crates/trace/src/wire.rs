@@ -4,7 +4,9 @@
 //! These impls live here (not in `discsp-core`) because the event types
 //! are defined here and `Wire` is a foreign trait from `discsp-core`.
 
-use discsp_core::{AgentId, MessageClass, RunMetrics, Value, VariableId, Wire, WireError, WireReader};
+use discsp_core::{
+    AgentId, MessageClass, RunMetrics, Value, VariableId, Wire, WireError, WireReader,
+};
 
 use crate::event::{FaultKind, RuntimeKind, TraceEvent};
 
