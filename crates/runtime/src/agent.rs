@@ -3,14 +3,14 @@
 use discsp_core::{AgentId, RunMetrics, VarValue};
 use serde::{Deserialize, Serialize};
 
-use crate::message::{Classify, Envelope, MessageClass};
+use crate::message::{Classify, Envelope};
 
 /// Outbound mailbox handed to an agent while it computes.
 ///
 /// Agents queue messages here; the runtime takes them when the agent's
-/// turn ends and delivers them according to its own timing model (next
+/// turn ends and routes them through the wave engine's router (next
 /// cycle for the synchronous simulator, the link policy's delay in
-/// virtual ticks for the wave engine).
+/// virtual ticks otherwise).
 #[derive(Debug)]
 pub struct Outbox<M> {
     from: AgentId,
@@ -44,21 +44,6 @@ impl<M: Classify> Outbox<M> {
     /// Takes the queued messages, leaving the outbox empty.
     pub fn drain(&mut self) -> Vec<Envelope<M>> {
         std::mem::take(&mut self.queued)
-    }
-
-    /// Counts queued messages per class (used by the runtimes' metering).
-    pub fn count_by_class(&self) -> (u64, u64, u64) {
-        let mut ok = 0;
-        let mut nogood = 0;
-        let mut other = 0;
-        for env in &self.queued {
-            match env.payload.class() {
-                MessageClass::Ok => ok += 1,
-                MessageClass::Nogood => nogood += 1,
-                MessageClass::Other => other += 1,
-            }
-        }
-        (ok, nogood, other)
     }
 }
 
@@ -234,7 +219,6 @@ mod tests {
         out.send(AgentId::new(1), Msg::Hello);
         out.send(AgentId::new(2), Msg::Learned);
         assert_eq!(out.len(), 2);
-        assert_eq!(out.count_by_class(), (1, 1, 0));
         let drained = out.drain();
         assert_eq!(drained.len(), 2);
         assert_eq!(drained[0].from, AgentId::new(0));
