@@ -176,7 +176,7 @@ fn run_experiment(id: &str, scale: f64, out: &Option<PathBuf>) -> Result<(), Str
         }
         other => return Err(format!("unknown experiment {other:?}")),
     }
-    println!("[{id} done in {:.1?}]\n", start.elapsed());
+    println!("[{id} done in {:.1}s]\n", start.elapsed().as_secs_f64());
     Ok(())
 }
 

@@ -68,9 +68,45 @@ fn csv_output_lands_in_the_requested_directory() {
         "stderr: {}",
         String::from_utf8_lossy(&output.stderr)
     );
+    assert_eq!(
+        assert_timings_in_seconds(&String::from_utf8_lossy(&output.stdout)),
+        1
+    );
     let csv = std::fs::read_to_string(dir.join("table8.csv")).expect("csv written");
     assert!(csv.starts_with("n,algorithm,cycle,maxcck"));
     // 4 sizes × 2 algorithms + header.
     assert_eq!(csv.lines().count(), 9);
     std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+/// Asserts every `done in` line of `stdout` matches `done in [0-9.]+s`,
+/// the shape the documented normalizer
+/// `sed 's/done in [0-9.]*s/done in Xs/'` rewrites. Returns how many
+/// there were.
+fn assert_timings_in_seconds(stdout: &str) -> usize {
+    let mut count = 0;
+    for line in stdout.lines() {
+        let Some((_, rest)) = line.split_once("done in ") else {
+            continue;
+        };
+        let value = rest.strip_suffix("s]").unwrap_or_default();
+        assert!(
+            !value.is_empty() && value.chars().all(|c| c.is_ascii_digit() || c == '.'),
+            "timing line {line:?} does not match `done in [0-9.]+s`"
+        );
+        count += 1;
+    }
+    count
+}
+
+#[test]
+fn timing_lines_are_in_seconds() {
+    // figure1 finishes in microseconds, the case a `Duration` debug
+    // print would render as `µs`.
+    let output = repro().arg("figure1").output().expect("spawn repro");
+    assert!(output.status.success());
+    assert_eq!(
+        assert_timings_in_seconds(&String::from_utf8_lossy(&output.stdout)),
+        1
+    );
 }
