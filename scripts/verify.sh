@@ -1,11 +1,15 @@
 #!/usr/bin/env bash
-# Full offline verification: release build, complete test suite, lints.
+# Full offline verification: formatting, release build, complete test
+# suite, lints, smokes.
 #
 # Everything runs --offline — external dependencies are vendored as
 # stubs under vendor/ (see Cargo.toml), so no network is required.
 # Usage: scripts/verify.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+echo "==> cargo fmt --all --check"
+cargo fmt --all --check
 
 echo "==> cargo build --release --offline"
 cargo build --release --offline --workspace
@@ -18,6 +22,20 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 
 echo "==> discsp-lint (workspace invariants: determinism, metrics, panic safety, schema sync)"
 cargo run --release --offline -q -p discsp-lint -- --timing --max-millis 1000
+
+echo "==> repro determinism (sync-path experiments, --jobs 1 vs --jobs 2)"
+repro_dir="target/repro-determinism"
+rm -rf "$repro_dir"
+mkdir -p "$repro_dir"
+for jobs in 1 2; do
+  ./target/release/repro table1 delay-sweep partition-sweep abt --scale 0.02 \
+    --jobs "$jobs" --out "$repro_dir/csv" \
+    | sed 's/done in [0-9.]*s/done in Xs/; s/([0-9]* worker/(W worker/' \
+    > "$repro_dir/jobs-$jobs.txt"
+  mv "$repro_dir/csv" "$repro_dir/jobs-$jobs"
+done
+diff "$repro_dir/jobs-1.txt" "$repro_dir/jobs-2.txt"
+diff -r "$repro_dir/jobs-1" "$repro_dir/jobs-2"
 
 echo "==> fault-injection soak (seed sweep over lossy/delayed/reordering links)"
 soak_traces="target/fault-soak-traces"
